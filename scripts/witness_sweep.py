@@ -3,7 +3,14 @@
 
 Rows past L = 2N+1 are exploratory: no closed-form count is known there.
 
-Usage: python scripts/witness_sweep.py [--n-min 3] [--n-max 5] [--offset 1] [--jobs 4]
+Each cell is searched over its truncation quotient: only run-free words
+of length 2N..L whose letters all repeat go through the aba machine, and
+the witnesses among them are expanded back to length L.  The
+total_classes column is still S(L, N).  This makes --n-max 6 feasible: the
+largest cell, N=6 with L=13, holds S(13,6) = 9,321,312 classes but takes
+about a second.
+
+Usage: python scripts/witness_sweep.py [--n-min 3] [--n-max 6] [--offset 1] [--jobs 2]
 """
 
 import argparse

@@ -255,6 +255,13 @@ def cmd_verify(args) -> int:
     return EXIT_OK if all(r.passed for r in results) else EXIT_FAIL
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="setsort",
@@ -306,8 +313,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="shorthand for --n-min N --n-max N")
     p.add_argument("--n-min", type=int, default=3)
     p.add_argument("--n-max", type=int, default=4)
-    p.add_argument("--corpus-len", type=int, default=8)
-    p.add_argument("--bound-len", type=int, default=9)
+    p.add_argument("--corpus-len", type=_positive_int, default=8)
+    p.add_argument("--bound-len", type=_positive_int, default=9)
     p.add_argument("--sigma", default="ab", help="pattern for probe-sigma")
     p.add_argument("--cap", type=int, default=None)
     p.set_defaults(func=cmd_verify)
@@ -320,6 +327,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if getattr(args, "n_single", None) is not None:
         args.n_min = args.n_max = args.n_single
+    if args.command == "verify" and args.n_min > args.n_max:
+        parser.error(f"empty N-range: --n-min {args.n_min} > --n-max {args.n_max}")
     try:
         return args.func(args)
     except (words.ParseError, ValueError) as exc:

@@ -4,14 +4,22 @@ A cell (N, L) holds every restricted-growth word of length L over exactly
 N distinct letters; its size is the Stirling number S(L, N).  A witness
 is a word in the cell that the aba machine has not sorted after N - 1
 passes.
+
+The search visits only the truncation quotient of a cell.  Truncation
+commutes with the aba pass up to truncation, and sortedness depends only
+on the truncation, so a word is a witness iff its run-free truncation is.
+Clump growth leaves a witness no clumped letter, so every letter of a
+run-free witness occurs at least twice.  The search therefore tests the
+run-free words of length 2N..L with every letter repeated, and expands
+each witness found into its run expansions of length L.
 """
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import combinations
 from typing import Iterator, Sequence
 
 from .machine import apply_phi_aba
@@ -22,6 +30,8 @@ from .words import (
     is_sorted,
     multiplicities,
 )
+
+SHARD_TARGET = 8  # run-free prefixes per worker process that jobs > 1 aims for
 
 
 @dataclass(frozen=True)
@@ -44,21 +54,6 @@ def stirling2(length: int, n_letters: int) -> int:
     if n_letters > length:
         return 0
     return n_letters * stirling2(length - 1, n_letters) + stirling2(length - 1, n_letters - 1)
-
-
-def bell(length: int) -> int:
-    return sum(stirling2(length, n) for n in range(length + 1))
-
-
-def rgs_extensions(prefix: Sequence[int], n_letters: int, length: int) -> list[int]:
-    """Letters that can extend an RGS prefix and still reach exactly N letters."""
-    mx = max(prefix, default=0)
-    slots_left = length - len(prefix) - 1
-    out = []
-    for v in range(1, min(mx + 1, n_letters) + 1):
-        if n_letters - max(mx, v) <= slots_left:
-            out.append(v)
-    return out
 
 
 def canonical_partitions(cell: CellSpec, prefix: Sequence[int] = ()) -> Iterator[Word]:
@@ -87,18 +82,66 @@ def canonical_partitions(cell: CellSpec, prefix: Sequence[int] = ()) -> Iterator
 
 def cell_prefixes(cell: CellSpec, depth: int) -> list[Word]:
     """Viable RGS prefixes of the given depth, in lexicographic order."""
-    depth = min(depth, cell.length)
+    n, length = cell.n_letters, cell.length
     prefixes: list[Word] = [()]
-    for _ in range(depth):
+    for i in range(min(depth, length)):
         prefixes = [
             p + (v,)
             for p in prefixes
-            for v in rgs_extensions(p, cell.n_letters, cell.length)
+            for v in range(1, min(max(p, default=0) + 1, n) + 1)
+            if n - max(max(p, default=0), v) <= length - i - 1
         ]
     return prefixes
 
 
-@dataclass(frozen=True)
+def run_free_classes(
+    cell: CellSpec, prefix: Sequence[int] = (), depth: int | None = None
+) -> Iterator[Word]:
+    """Run-free RGS words over exactly N letters, each letter at least twice,
+    of length at most L, extending ``prefix``, in lexicographic order.
+
+    These are the truncations of the cell's possible witnesses.  A prefix
+    is pruned once its remaining slots cannot give every letter, new or
+    seen once, its second occurrence.  With ``depth`` (at most 2N) the
+    stream yields the viable prefixes of that length instead.
+    """
+    n, length = cell.n_letters, cell.length
+    word = list(prefix)
+    counts = [0] * (n + 1)
+    for x in word:
+        counts[x] += 1
+
+    def rec(mx: int, once: int) -> Iterator[Word]:
+        i = len(word)
+        if i == depth:
+            yield tuple(word)
+            return
+        if mx == n and once == 0:
+            yield tuple(word)
+        last = word[-1] if word else 0
+        for v in range(1, min(mx + 1, n) + 1):
+            if v == last:
+                continue
+            c = counts[v]
+            grown = once + (c == 0) - (c == 1)
+            if 2 * (n - max(mx, v)) + grown <= length - i - 1:
+                counts[v] = c + 1
+                word.append(v)
+                yield from rec(max(mx, v), grown)
+                word.pop()
+                counts[v] = c
+
+    yield from rec(max(word, default=0), counts.count(1))
+
+
+def run_expansions(word: Sequence[int], length: int) -> Iterator[Word]:
+    """The C(length-1, len(word)-1) words of ``length`` that truncate to a run-free word."""
+    for cuts in combinations(range(1, length), len(word) - 1):
+        bounds = (0,) + cuts + (length,)
+        yield tuple(x for x, a, b in zip(word, bounds, bounds[1:]) for _ in range(b - a))
+
+
+@dataclass(frozen=True, slots=True)
 class WitnessProfile:
     witness: Word
     multiplicities: dict[int, int]
@@ -170,38 +213,57 @@ def profile_witness(word: Sequence[int], cell: CellSpec) -> WitnessProfile:
 
 
 def _search_shard(args: tuple[CellSpec, Word]) -> tuple[int, list[Word]]:
+    """(run-free classes tested, the cell's witnesses) for one prefix of the quotient.
+
+    Each run-free witness is expanded to the cell's length here, so the
+    expansion runs in the worker processes.
+    """
     cell, prefix = args
     total = 0
     found = []
     n = cell.n_letters
-    for word in canonical_partitions(cell, prefix):
+    for word in run_free_classes(cell, prefix):
         total += 1
         if is_witness(word, n):
-            found.append(word)
+            found.extend(run_expansions(word, cell.length))
     return total, found
 
 
-def find_witnesses(cell: CellSpec, jobs: int = 1) -> WitnessReport:
-    """Exhaustive witness search over one cell.
+def _shard_prefixes(cell: CellSpec, jobs: int) -> list[Word]:
+    """The shortest run-free prefixes (depth <= 2N) giving SHARD_TARGET shards per job."""
+    prefixes: list[Word] = []
+    for depth in range(1, 2 * cell.n_letters + 1):
+        prefixes = list(run_free_classes(cell, depth=depth))
+        if len(prefixes) >= SHARD_TARGET * jobs:
+            break
+    return prefixes
 
-    Parallel runs shard by RGS prefix and merge shard results in prefix
-    order, so the witness list is identical to the sequential stream's.
+
+def find_witnesses(cell: CellSpec, jobs: int = 1) -> WitnessReport:
+    """Exhaustive witness search over one cell, by its truncation quotient.
+
+    The witness list is in lexicographic order and ``total_classes`` is
+    S(L, N), the classes the cell covers, as a full-cell scan would give.
+    Parallel runs shard the run-free stream by prefix, with ``jobs``
+    clamped to the shard count; the merged shard results are sorted, so
+    they equal the sequential search's.
     """
     start = time.perf_counter()
+    shards = [(cell, p) for p in _shard_prefixes(cell, jobs)] if jobs > 1 else []
+    jobs = min(jobs, len(shards))
     if jobs > 1:
-        shards = [(cell, p) for p in cell_prefixes(cell, depth=3)]
+        # Imported here: it adds ~20 ms to every start-up, and most runs start no pool.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_search_shard, shards, chunksize=1))
     else:
         results = [_search_shard((cell, ()))]
-    total = sum(t for t, _ in results)
-    witnesses = tuple(
-        profile_witness(w, cell) for _, found in results for w in found
-    )
+    found = sorted(w for _, shard_found in results for w in shard_found)
     return WitnessReport(
         cell=cell,
-        total_classes=total,
-        witnesses=witnesses,
+        total_classes=stirling2(cell.length, cell.n_letters),
+        witnesses=tuple(profile_witness(w, cell) for w in found),
         elapsed=time.perf_counter() - start,
     )
 

@@ -8,7 +8,6 @@ output otherwise.  The aba pattern has a dedicated fast path.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Sequence
@@ -164,11 +163,14 @@ def apply_phi_aba(p: Sequence[int]) -> Word:
 
     An aba-avoiding stack is a sequence of single-letter runs, so a push is
     legal iff the letter is absent from the stack or already tops it; when
-    illegal, popping is forced until one of the two holds.
+    illegal, popping is forced until one of the two holds.  Stack counts
+    are a list indexed by letter, or a dict when the letter ids are too
+    sparse for a list.
     """
     out: list[int] = []
     stack: list[int] = []
-    counts: Counter[int] = Counter()
+    top = max(p, default=0)
+    counts = [0] * (top + 1) if top <= 4 * len(p) else dict.fromkeys(p, 0)
     for x in p:
         while stack and stack[-1] != x and counts[x]:
             y = stack.pop()
@@ -176,8 +178,7 @@ def apply_phi_aba(p: Sequence[int]) -> Word:
             counts[y] -= 1
         stack.append(x)
         counts[x] += 1
-    while stack:
-        out.append(stack.pop())
+    out.extend(reversed(stack))
     return tuple(out)
 
 
@@ -186,10 +187,6 @@ def iterate(p: Sequence[int], sigma: Pattern, k: int) -> Word:
     if k < 0:
         raise ValueError("iteration count must be nonnegative")
     w = tuple(p)
-    if sigma.is_aba:
-        for _ in range(k):
-            w = apply_phi_aba(w)
-        return w
     for _ in range(k):
         w = apply_phi(w, sigma)
     return w
@@ -211,7 +208,8 @@ class DepthResult:
     cycle_start: Word | None = None  # first repeated word, when sorts is False
 
     def __post_init__(self):
-        assert self.sorts == (self.depth is not None)
+        if self.sorts != (self.depth is not None):
+            raise ValueError("a depth is given exactly when the word sorts")
 
 
 def default_cap(p: Sequence[int], sigma: Pattern) -> int:

@@ -102,7 +102,8 @@ class CheckResult:
     detail: str = ""
 
     def __post_init__(self):
-        assert self.passed == (self.counterexample is None)
+        if self.passed != (self.counterexample is None):
+            raise ValueError("a counterexample is given exactly when the check fails")
 
     def summary(self) -> str:
         line = f"{'PASS' if self.passed else 'FAIL'} {self.name} [{self.scope}]"
@@ -117,9 +118,14 @@ class CheckResult:
 
 
 def all_canonical_upto(max_len: int, min_len: int = 1) -> Iterator[Word]:
-    for length in range(min_len, max_len + 1):
-        for n in range(1, length + 1):
-            yield from canonical_partitions(CellSpec(n, length))
+    if not 1 <= min_len <= max_len:
+        raise ValueError(f"empty corpus: lengths {min_len}..{max_len}")
+    return (
+        w
+        for length in range(min_len, max_len + 1)
+        for n in range(1, length + 1)
+        for w in canonical_partitions(CellSpec(n, length))
+    )
 
 
 def check_lemma_decomposition(max_len: int = 8) -> CheckResult:
@@ -346,6 +352,8 @@ def run_suite(
     jobs: int = 1,
 ) -> list[CheckResult]:
     """The full check suite; one result per check, failures never abort."""
+    if n_min > n_max:
+        raise ValueError(f"empty N-range: {n_min}..{n_max}")
     results = [
         check_lemma_decomposition(corpus_len),
         check_clump_growth(corpus_len),

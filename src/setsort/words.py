@@ -134,7 +134,19 @@ def leftmost_nonclumped(word: Sequence[int]) -> int | None:
 
 
 def is_sorted(word: Sequence[int]) -> bool:
-    return len(_clumped_letters(word)) == len(set(word))
+    """Whether every letter's occurrences are consecutive.
+
+    One scan over the runs: fails as soon as a letter starts a second run.
+    """
+    seen = set()
+    prev = None
+    for x in word:
+        if x != prev:
+            if x in seen:
+                return False
+            seen.add(x)
+            prev = x
+    return True
 
 
 def reverse(word: Sequence[int]) -> Word:

@@ -169,6 +169,19 @@ class TestVerify:
             main(["verify", "bogus"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["verify", "theorem-count", "--n-min", "5", "--n-max", "3"],
+        ["verify", "all", "--n-min", "5", "--n-max", "3"],
+        ["verify", "upper-bound", "--bound-len", "0"],
+        ["verify", "lemma-decomposition", "--corpus-len", "0"],
+        ["verify", "probe-sigma", "--corpus-len", "-1"],
+    ])
+    def test_vacuous_scope_is_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(["--jobs", "1"] + argv)
+        assert exc.value.code == 2
+        assert "PASS" not in capsys.readouterr().out
+
     def test_probe_sigma(self, capsys):
         code, records = run_records(
             capsys, "--jobs", "1", "verify", "probe-sigma",

@@ -1,4 +1,6 @@
+from collections import Counter
 from itertools import product
+from math import comb
 
 import pytest
 from hypothesis import given
@@ -10,10 +12,22 @@ from setsort.enumeration import (
     cell_prefixes,
     find_witnesses,
     is_witness,
+    run_expansions,
+    run_free_classes,
     stirling2,
     witness_table,
 )
-from setsort.words import format_word, is_canonical, n_distinct
+from setsort.words import format_word, is_canonical, multiplicities, n_distinct, truncate
+
+
+def full_scan_witnesses(cell):
+    """The oracle: every class of the cell through the witness test."""
+    return [w for w in canonical_partitions(cell) if is_witness(w, cell.n_letters)]
+
+
+ORACLE_CELLS = [
+    (n, length) for n in range(1, 5) for length in range(n, 2 * n + 3)
+] + [(5, length) for length in range(5, 11)]
 
 
 def brute_cell(n, length):
@@ -111,10 +125,56 @@ class TestWitnessSearch:
         assert report.witnesses[0].family is None
 
     def test_parallel_equals_sequential(self):
-        seq = find_witnesses(CellSpec(4, 9), jobs=1)
-        par = find_witnesses(CellSpec(4, 9), jobs=2)
-        assert par.total_classes == seq.total_classes
-        assert [w.witness for w in par.witnesses] == [w.witness for w in seq.witnesses]
+        for cell in (CellSpec(3, 10), CellSpec(4, 9), CellSpec(5, 11)):
+            seq = find_witnesses(cell, jobs=1)
+            par = find_witnesses(cell, jobs=2)
+            assert par.total_classes == seq.total_classes
+            assert [w.witness for w in par.witnesses] == [w.witness for w in seq.witnesses]
+
+    @pytest.mark.parametrize("n,length", ORACLE_CELLS)
+    def test_quotient_search_equals_full_scan(self, n, length):
+        cell = CellSpec(n, length)
+        report = find_witnesses(cell)
+        assert [w.witness for w in report.witnesses] == full_scan_witnesses(cell)
+        assert report.total_classes == stirling2(length, n)
+
+    def test_n6_next_minimal_cell(self):
+        report = find_witnesses(CellSpec(6, 13))
+        assert report.total_classes == stirling2(13, 6) == 9_321_312
+        assert len(report.witnesses) == 51
+        tally = Counter(w.family for w in report.witnesses)
+        assert tally == {"tail-heavy": 15, "prefix-heavy": 15, "head-triple": 21}
+
+
+class TestQuotient:
+    @pytest.mark.parametrize("n,length", [(2, 6), (3, 8), (4, 9)])
+    def test_run_free_classes_match_filtered_cells(self, n, length):
+        # Run-free words with every letter at least twice, from the full cells.
+        want = sorted(
+            w
+            for l in range(2 * n, length + 1)
+            for w in canonical_partitions(CellSpec(n, l))
+            if truncate(w) == w and min(multiplicities(w).values()) >= 2
+        )
+        assert list(run_free_classes(CellSpec(n, length))) == want
+
+    def test_shard_prefixes_cover_stream(self):
+        cell = CellSpec(4, 10)
+        sharded = [
+            w
+            for p in run_free_classes(cell, depth=4)
+            for w in run_free_classes(cell, prefix=p)
+        ]
+        assert sharded == list(run_free_classes(cell))
+
+    @given(st.lists(st.integers(1, 4), min_size=1, max_size=5), st.integers(1, 9))
+    def test_run_expansions(self, letters, length):
+        word = truncate(letters)
+        expansions = list(run_expansions(word, length))
+        assert len(set(expansions)) == len(expansions)
+        assert all(len(w) == length and truncate(w) == word for w in expansions)
+        if len(word) <= length:
+            assert len(expansions) == comb(length - 1, len(word) - 1)
 
 
 class TestWitnessTable:

@@ -8,6 +8,7 @@ from setsort.enumeration import CellSpec, canonical_partitions
 from setsort.machine import (
     ABA,
     DepthIndeterminateError,
+    DepthResult,
     MachineStuckError,
     Pattern,
     apply_phi,
@@ -111,6 +112,11 @@ class TestSinglePass:
             w, aba
         )
 
+    def test_sparse_letter_ids(self):
+        # Letter ids far above the word length take the dict-counted route.
+        w = (10**12, 7, 10**12, 7, 3)
+        assert apply_phi_aba(w) == apply_phi_generic(w, aba)
+
     def test_single_letter_pattern_gets_stuck(self):
         with pytest.raises(MachineStuckError):
             apply_phi(parse("a"), Pattern((1,)))
@@ -179,6 +185,11 @@ class TestSortingDepth:
         result = sorting_depth(parse("abab"), Pattern(parse("ab")))
         assert not result.sorts
         assert result.cycle_start == (1, 2, 1, 2)
+
+    @pytest.mark.parametrize("sorts,depth", [(True, None), (False, 2)])
+    def test_result_rejects_inconsistent_depth(self, sorts, depth):
+        with pytest.raises(ValueError):
+            DepthResult(word=(1, 2, 1), sigma=aba, sorts=sorts, depth=depth)
 
     def test_indeterminate_on_tiny_cap(self):
         with pytest.raises(DepthIndeterminateError):

@@ -54,8 +54,12 @@ class TestHeadDecomposition:
 
 class TestCheckResultContract:
     def test_failure_requires_counterexample(self):
-        with pytest.raises(AssertionError):
+        with pytest.raises(ValueError):
             CheckResult("x", "scope", False)
+
+    def test_pass_rejects_counterexample(self):
+        with pytest.raises(ValueError):
+            CheckResult("x", "scope", True, (1, 2, 1))
 
     def test_summary_mentions_counterexample(self):
         r = CheckResult("x", "scope", False, (1, 2, 1), expected="a", actual="b")
@@ -77,6 +81,13 @@ class TestCorpusChecks:
         assert result.passed
         # Bell numbers B(1..6)
         assert result.detail == f"{1 + 2 + 5 + 15 + 52 + 203} classes"
+
+    @pytest.mark.parametrize("check", [
+        check_lemma_decomposition, check_clump_growth, check_trunc_commute, check_upper_bound,
+    ])
+    def test_empty_corpus_rejected(self, check):
+        with pytest.raises(ValueError):
+            check(0)
 
 
 class TestLockstep:
@@ -130,3 +141,7 @@ class TestSuite:
         assert results
         failing = [r.name for r in results if not r.passed]
         assert failing == []
+
+    def test_empty_n_range_rejected(self):
+        with pytest.raises(ValueError):
+            run_suite(n_min=5, n_max=3)
