@@ -1,10 +1,12 @@
 """Command-line front end.
 
-Subcommands: apply, trace, depth, stats, enumerate, verify.  Output comes
-in three encodings selected by --format: human text (default), line-
-delimited JSON records, or CSV for tabular payloads.  Exit codes: 0
-success, 1 verification failure / never-sorts under --strict, 2 usage
-error, 3 indeterminate depth.
+Subcommands: apply, trace, depth, stats, enumerate, verify.  The checks
+that verify offers, their order in ``verify all`` and the N each accepts
+come from ``verification.CHECKS``.  Output comes in three encodings
+selected by --format: human text (default), line-delimited JSON records,
+or CSV for tabular payloads.  Exit codes: 0 success, 1 verification
+failure / never-sorts under --strict, 2 usage error (an N-range below a
+check's least N included), 3 indeterminate depth.
 """
 
 from __future__ import annotations
@@ -181,61 +183,18 @@ def cmd_enumerate(args) -> int:
     return EXIT_OK
 
 
-SUITE_NAMES = [
-    "all",
-    "lemma-decomposition",
-    "clump-growth",
-    "trunc-commute",
-    "upper-bound",
-    "theorem-minimal",
-    "theorem-count",
-    "multiplicity-profile",
-    "family-counts",
-    "lockstep",
-    "probe-sigma",
-]
+SUITE_NAMES = ["all", *verification.CHECKS]
 
 
 def cmd_verify(args) -> int:
-    v = verification
     if args.suite == "all":
-        results = v.run_suite(
-            n_min=args.n_min, n_max=args.n_max,
-            corpus_len=args.corpus_len, bound_len=args.bound_len, jobs=args.jobs,
-        )
-    elif args.suite == "lemma-decomposition":
-        results = [v.check_lemma_decomposition(args.corpus_len)]
-    elif args.suite == "clump-growth":
-        results = [v.check_clump_growth(args.corpus_len)]
-    elif args.suite == "trunc-commute":
-        results = [v.check_trunc_commute(args.corpus_len)]
-    elif args.suite == "upper-bound":
-        results = [v.check_upper_bound(args.bound_len)]
-    elif args.suite == "theorem-minimal":
-        results = [v.check_theorem_minimal(n, jobs=args.jobs)
-                   for n in range(args.n_min, args.n_max + 1)]
-    elif args.suite == "theorem-count":
-        results = [v.check_theorem_count(n, jobs=args.jobs)
-                   for n in range(args.n_min, args.n_max + 1)]
-    elif args.suite == "multiplicity-profile":
-        results = [v.check_multiplicity_profile(n, jobs=args.jobs)
-                   for n in range(args.n_min, args.n_max + 1)]
-    elif args.suite == "family-counts":
-        results = [v.check_family_counts(n, jobs=args.jobs)
-                   for n in range(args.n_min, args.n_max + 1)]
-    elif args.suite == "lockstep":
-        witnesses = []
-        for n in range(args.n_min, args.n_max + 1):
-            for length in (2 * n, 2 * n + 1):
-                report = v.cell_witness_report(
-                    enumeration.CellSpec(n, length), jobs=args.jobs)
-                witnesses.extend(w.witness for w in report.witnesses)
-        results = [v.check_cor_lockstep(witnesses)]
-    elif args.suite == "probe-sigma":
-        results = [v.probe_sigma(_parse_sigma(args.sigma),
-                                 max_len=args.corpus_len, cap=args.cap)]
-    else:  # unreachable: argparse validates choices
-        return EXIT_USAGE
+        results = verification.run_suite(
+            args.n_min, args.n_max, args.corpus_len, args.bound_len, jobs=args.jobs)
+    else:
+        results = verification.SuiteRun(
+            args.n_min, args.n_max, args.corpus_len, args.bound_len, args.jobs,
+            sigma=_parse_sigma(args.sigma), probe_len=args.corpus_len, cap=args.cap,
+        ).run([args.suite])
     for result in results:
         if args.format == "records":
             emit_record("verify", {
@@ -262,6 +221,10 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _jobs(text: str) -> int:
+    return min(_positive_int(text), os.cpu_count() or 1)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="setsort",
@@ -272,8 +235,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="output encoding (csv applies to enumerate only)",
     )
     parser.add_argument(
-        "--jobs", type=int, default=max(1, os.cpu_count() or 1),
-        help="worker processes for enumeration and verification",
+        "--jobs", type=_jobs, default=os.cpu_count() or 1,
+        help="worker processes for enumeration and verification (at most the CPU count)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -327,8 +290,6 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if getattr(args, "n_single", None) is not None:
         args.n_min = args.n_max = args.n_single
-    if args.command == "verify" and args.n_min > args.n_max:
-        parser.error(f"empty N-range: --n-min {args.n_min} > --n-max {args.n_max}")
     try:
         return args.func(args)
     except (words.ParseError, ValueError) as exc:

@@ -248,6 +248,8 @@ def find_witnesses(cell: CellSpec, jobs: int = 1) -> WitnessReport:
     clamped to the shard count; the merged shard results are sorted, so
     they equal the sequential search's.
     """
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     start = time.perf_counter()
     shards = [(cell, p) for p in _shard_prefixes(cell, jobs)] if jobs > 1 else []
     jobs = min(jobs, len(shards))

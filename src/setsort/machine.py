@@ -85,42 +85,29 @@ def contains_pattern(word: Sequence[int], sigma: Pattern) -> bool:
     return any(canonicalize(sub) == sigma.word for sub in combinations(word, k))
 
 
-def push_is_legal(
-    stack: Sequence[int], x: int, sigma: Pattern, read_bottom_up: bool = False
-) -> bool:
+def push_is_legal(stack: Sequence[int], x: int, sigma: Pattern) -> bool:
     """Whether x may be pushed on a stack (given bottom to top) that avoids sigma.
 
-    The stack with x on top is read top to bottom by convention (the
-    ``read_bottom_up`` flag exists to test that palindromic patterns do not
-    care); only subsequences through x need checking because the rest avoid
-    sigma already.
+    The stack with x on top is read top to bottom; only subsequences
+    through x need checking because the rest avoid sigma already.
     """
     k = len(sigma.word)
     if k == 1:
         return False
-    rest = tuple(stack) if read_bottom_up else tuple(reversed(stack))
+    rest = tuple(reversed(stack))
     if len(rest) < k - 1:
         return True
     target = sigma.word
-    if read_bottom_up:
-        return not any(
-            canonicalize(sub + (x,)) == target for sub in combinations(rest, k - 1)
-        )
     return not any(
         canonicalize((x,) + sub) == target for sub in combinations(rest, k - 1)
     )
 
 
-def _pass_generic(
-    p: Sequence[int],
-    sigma: Pattern,
-    events: list | None,
-    read_bottom_up: bool = False,
-) -> Word:
+def _pass_generic(p: Sequence[int], sigma: Pattern, events: list | None) -> Word:
     out: list[int] = []
     stack: list[int] = []
     for x in p:
-        while not push_is_legal(stack, x, sigma, read_bottom_up):
+        while not push_is_legal(stack, x, sigma):
             if not stack:
                 raise MachineStuckError(
                     f"cannot push {format_word((x,))} onto the empty stack "
@@ -148,14 +135,12 @@ def apply_phi(p: Sequence[int], sigma: Pattern) -> Word:
     return _pass_generic(p, sigma, None)
 
 
-def apply_phi_generic(
-    p: Sequence[int], sigma: Pattern, read_bottom_up: bool = False
-) -> Word:
+def apply_phi_generic(p: Sequence[int], sigma: Pattern) -> Word:
     """One pass via the subsequence-checking route, never the aba fast path.
 
     Kept separate so the fast path can be cross-checked against it.
     """
-    return _pass_generic(p, sigma, None, read_bottom_up)
+    return _pass_generic(p, sigma, None)
 
 
 def apply_phi_aba(p: Sequence[int]) -> Word:

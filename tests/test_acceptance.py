@@ -7,8 +7,9 @@ doubles as a report when run with ``pytest -s tests/test_acceptance.py``.
 import random
 import time
 from collections import Counter
+from math import comb
 
-from setsort.enumeration import CellSpec, stirling2
+from setsort.enumeration import CellSpec, find_witnesses, stirling2
 from setsort.machine import (
     ABA,
     Pattern,
@@ -19,7 +20,6 @@ from setsort.machine import (
 )
 from setsort.verification import (
     all_canonical_upto,
-    cell_witness_report,
     check_clump_growth,
     check_cor_lockstep,
     check_family_counts,
@@ -29,7 +29,6 @@ from setsort.verification import (
     check_theorem_minimal,
     check_trunc_commute,
     check_upper_bound,
-    family_count_identity,
     probe_sigma,
 )
 from setsort.words import format_word, parse
@@ -67,7 +66,7 @@ def test_criterion_2_minimal_witnesses():
     for n in (3, 4, 5):
         result = check_theorem_minimal(n)
         assert result.passed, result.summary()
-        sizes[n] = cell_witness_report(CellSpec(n, 2 * n)).total_classes
+        sizes[n] = find_witnesses(CellSpec(n, 2 * n)).total_classes
     assert sizes == {3: 90, 4: 1701, 5: 42525}
     elapsed = time.perf_counter() - start
     assert elapsed < 10
@@ -79,10 +78,10 @@ def test_criterion_3_next_minimal_counts():
     for n in (3, 4, 5):
         result = check_theorem_count(n)
         assert result.passed, result.summary()
-        rep = cell_witness_report(CellSpec(n, 2 * n + 1))
+        rep = find_witnesses(CellSpec(n, 2 * n + 1))
         counts[n] = (rep.total_classes, len(rep.witnesses))
     assert counts == {3: (301, 12), 4: (7770, 22), 5: (246730, 35)}
-    n5 = cell_witness_report(CellSpec(5, 11))
+    n5 = find_witnesses(CellSpec(5, 11))
     assert n5.elapsed < 60
     report(3, f"counts 12/22/35; N=5 cell in {n5.elapsed:.2f}s")
 
@@ -116,7 +115,7 @@ def all_theorem_witnesses():
     out = []
     for n in (3, 4, 5):
         for length in (2 * n, 2 * n + 1):
-            rep = cell_witness_report(CellSpec(n, length))
+            rep = find_witnesses(CellSpec(n, length))
             out.extend(w.witness for w in rep.witnesses)
     return out
 
@@ -141,12 +140,12 @@ def test_criterion_9_family_decomposition():
     for n in (3, 4, 5):
         result = check_family_counts(n)
         assert result.passed, result.summary()
-        rep = cell_witness_report(CellSpec(n, 2 * n + 1))
+        rep = find_witnesses(CellSpec(n, 2 * n + 1))
         tally = Counter(w.family for w in rep.witnesses)
         assert (
             tally["tail-heavy"], tally["prefix-heavy"], tally["head-triple"]
         ) == want[n]
-    assert all(family_count_identity(n) for n in range(3, 21))
+    assert all(comb(2 * n, 2) - 3 * comb(n, 2) == comb(n + 1, 2) for n in range(3, 21))
     report(9, "families split (C(N,2), C(N,2), C(N+1,2)) for N=3,4,5")
 
 

@@ -1,8 +1,14 @@
+import argparse
 import json
+import os
+from pathlib import Path
 
 import pytest
 
-from setsort.cli import main
+from setsort.cli import build_parser, main
+from setsort.verification import CHECKS
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def run(capsys, *argv):
@@ -148,6 +154,19 @@ class TestEnumerate:
         assert out.splitlines()[1] == "3,6,abcabc,"
 
 
+class TestJobs:
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_below_one_is_usage_error(self, jobs):
+        with pytest.raises(SystemExit) as exc:
+            main(["--jobs", jobs, "stats", "ab"])
+        assert exc.value.code == 2
+
+    def test_clamped_to_cpu_count(self):
+        # parse only: a pool of this size must never start
+        args = build_parser().parse_args(["--jobs", "100000", "stats", "ab"])
+        assert args.jobs == (os.cpu_count() or 1)
+
+
 class TestVerify:
     def test_single_check(self, capsys):
         code, records = run_records(
@@ -175,12 +194,31 @@ class TestVerify:
         ["verify", "upper-bound", "--bound-len", "0"],
         ["verify", "lemma-decomposition", "--corpus-len", "0"],
         ["verify", "probe-sigma", "--corpus-len", "-1"],
+        ["verify", "all", "--n", "2"],
+        ["verify", "theorem-minimal", "--n-min", "2"],
+        ["verify", "family-counts", "--n", "1"],
+        ["verify", "lockstep", "--n", "1"],
     ])
     def test_vacuous_scope_is_usage_error(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
             main(["--jobs", "1"] + argv)
         assert exc.value.code == 2
         assert "PASS" not in capsys.readouterr().out
+
+    def test_choices_come_from_registry(self):
+        verify = next(
+            a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+        ).choices["verify"]
+        suite = next(a for a in verify._actions if a.dest == "suite")
+        assert suite.choices == ["all", *CHECKS]
+
+    def test_all_records_golden(self, capsys):
+        code, out = run(
+            capsys, "--format", "records", "--jobs", "1", "verify", "all",
+            "--n", "3", "--corpus-len", "6", "--bound-len", "7",
+        )
+        assert code == 0
+        assert out == (GOLDEN / "verify_all_n3.records").read_text()
 
     def test_probe_sigma(self, capsys):
         code, records = run_records(

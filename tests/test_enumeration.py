@@ -124,6 +124,11 @@ class TestWitnessSearch:
         report = find_witnesses(CellSpec(3, 6))
         assert report.witnesses[0].family is None
 
+    @pytest.mark.parametrize("jobs", [0, -3])
+    def test_jobs_below_one_rejected(self, jobs):
+        with pytest.raises(ValueError):
+            find_witnesses(CellSpec(3, 6), jobs=jobs)
+
     def test_parallel_equals_sequential(self):
         for cell in (CellSpec(3, 10), CellSpec(4, 9), CellSpec(5, 11)):
             seq = find_witnesses(cell, jobs=1)

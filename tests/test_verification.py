@@ -1,7 +1,12 @@
+from math import comb
+
 import pytest
 
+from setsort import verification
+from setsort.enumeration import CellSpec
 from setsort.machine import Pattern
 from setsort.verification import (
+    CHECKS,
     CheckResult,
     check_clump_growth,
     check_cor_lockstep,
@@ -14,7 +19,6 @@ from setsort.verification import (
     check_upper_bound,
     decompose_by_head,
     expected_next_minimal_count,
-    family_count_identity,
     probe_sigma,
     run_suite,
 )
@@ -122,7 +126,9 @@ class TestTheoremChecks:
         assert "'head-triple': 6" in result.detail
 
     def test_family_identity(self):
-        assert all(family_count_identity(n) for n in range(3, 21))
+        # the head-triple closed form collapses: C(2N,2) - 3C(N,2) = C(N+1,2)
+        for n in range(3, 21):
+            assert comb(2 * n, 2) - 3 * comb(n, 2) == comb(n + 1, 2)
 
 
 class TestProbe:
@@ -145,3 +151,34 @@ class TestSuite:
     def test_empty_n_range_rejected(self):
         with pytest.raises(ValueError):
             run_suite(n_min=5, n_max=3)
+
+    @pytest.mark.parametrize("n_min", [1, 2])
+    def test_n_below_three_rejected(self, n_min):
+        with pytest.raises(ValueError):
+            run_suite(n_min=n_min, n_max=4)
+
+    def test_order_follows_registry(self):
+        names = [r.name for r in run_suite(n_min=3, n_max=4, corpus_len=4, bound_len=4)]
+        per_n = ["theorem-minimal", "theorem-count", "multiplicity-profile", "family-counts"]
+        assert per_n == [name for name, c in CHECKS.items() if c.scope == "per-n"]
+        assert names == [
+            "lemma-decomposition", "clump-growth", "trunc-commute", "upper-bound",
+            *per_n, *per_n, "lockstep", "probe-sigma-ab",
+        ]
+
+    def test_each_cell_scanned_once_per_run(self, monkeypatch):
+        calls = []
+        scan = verification.find_witnesses
+
+        def recording(cell, jobs=1):
+            calls.append((cell, jobs))
+            return scan(cell)
+
+        monkeypatch.setattr(verification, "find_witnesses", recording)
+        cells = {CellSpec(3, length) for length in range(3, 8)}
+        cells |= {CellSpec(4, length) for length in range(4, 10)}
+        assert len(cells) == 11
+        for jobs in (1, 2):  # the second run scans again, with its own jobs
+            calls.clear()
+            run_suite(n_min=3, n_max=4, corpus_len=4, bound_len=4, jobs=jobs)
+            assert sorted(calls, key=str) == sorted(((c, jobs) for c in cells), key=str)
