@@ -12,7 +12,6 @@ from .words import (
     ParseError,
     canonicalize,
     clumped_count,
-    equivalent,
     format_word,
     is_sorted,
     mcount,
@@ -60,7 +59,6 @@ __all__ = [
     "canonical_partitions",
     "canonicalize",
     "clumped_count",
-    "equivalent",
     "find_witnesses",
     "format_word",
     "is_sorted",

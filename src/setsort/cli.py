@@ -39,16 +39,12 @@ def emit_record(command: str, payload: dict) -> None:
     print(json.dumps(record, sort_keys=True))
 
 
-def _parse_word(text: str) -> words.Word:
-    return words.parse(text)
-
-
 def _parse_sigma(text: str) -> Pattern:
     return Pattern(words.parse(text))
 
 
 def cmd_apply(args) -> int:
-    p = _parse_word(args.partition)
+    p = words.parse(args.partition)
     sigma = _parse_sigma(args.sigma)
     out = iterate(p, sigma, args.iterations)
     if args.format == "records":
@@ -64,7 +60,7 @@ def cmd_apply(args) -> int:
 
 
 def cmd_trace(args) -> int:
-    p = _parse_word(args.partition)
+    p = words.parse(args.partition)
     sigma = _parse_sigma(args.sigma)
     t = trace(p, sigma)
     if args.format == "records":
@@ -90,7 +86,7 @@ def cmd_trace(args) -> int:
 
 
 def cmd_depth(args) -> int:
-    p = _parse_word(args.partition)
+    p = words.parse(args.partition)
     sigma = _parse_sigma(args.sigma)
     try:
         result = sorting_depth(p, sigma, cap=args.cap)
@@ -118,7 +114,7 @@ def cmd_depth(args) -> int:
 
 
 def cmd_stats(args) -> int:
-    p = _parse_word(args.partition)
+    p = words.parse(args.partition)
     nc = words.leftmost_nonclumped(p)
     payload = {
         "word": words.format_word(p),
@@ -221,10 +217,6 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _jobs(text: str) -> int:
-    return min(_positive_int(text), os.cpu_count() or 1)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="setsort",
@@ -235,8 +227,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="output encoding (csv applies to enumerate only)",
     )
     parser.add_argument(
-        "--jobs", type=_jobs, default=os.cpu_count() or 1,
-        help="worker processes for enumeration and verification (at most the CPU count)",
+        "--jobs", type=_positive_int, default=os.cpu_count() or 1,
+        help="worker processes for enumeration and verification (clamped to the CPU count)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -292,9 +284,10 @@ def main(argv: list[str] | None = None) -> int:
         args.n_min = args.n_max = args.n_single
     try:
         return args.func(args)
-    except (words.ParseError, ValueError) as exc:
+    except DepthIndeterminateError as exc:
+        parser.exit(EXIT_INDETERMINATE, f"indeterminate (cap): {exc}\n")
+    except ValueError as exc:
         parser.exit(EXIT_USAGE, f"error: {exc}\n")
-        return EXIT_USAGE  # unreachable
 
 
 if __name__ == "__main__":

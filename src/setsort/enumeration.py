@@ -16,20 +16,16 @@ each witness found into its run expansions of length L.
 
 from __future__ import annotations
 
+import os
 import time
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 from typing import Iterator, Sequence
 
 from .machine import apply_phi_aba
-from .words import (
-    Word,
-    index_occurrence,
-    indices,
-    is_sorted,
-    multiplicities,
-)
+from .words import Word, is_sorted
 
 SHARD_TARGET = 8  # run-free prefixes per worker process that jobs > 1 aims for
 
@@ -56,14 +52,14 @@ def stirling2(length: int, n_letters: int) -> int:
     return n_letters * stirling2(length - 1, n_letters) + stirling2(length - 1, n_letters - 1)
 
 
-def canonical_partitions(cell: CellSpec, prefix: Sequence[int] = ()) -> Iterator[Word]:
-    """All RGS words of the cell extending ``prefix``, in lexicographic order.
+def canonical_partitions(cell: CellSpec) -> Iterator[Word]:
+    """All RGS words of the cell, in lexicographic order.
 
     Prunes any prefix whose remaining slots cannot introduce enough new
     letters, so the stream touches only S(L, N) words, not N**L.
     """
     n, length = cell.n_letters, cell.length
-    word = list(prefix) + [0] * (length - len(prefix))
+    word = [0] * length
 
     def rec(i: int, mx: int) -> Iterator[Word]:
         if i == length:
@@ -74,10 +70,7 @@ def canonical_partitions(cell: CellSpec, prefix: Sequence[int] = ()) -> Iterator
                 word[i] = v
                 yield from rec(i + 1, max(mx, v))
 
-    mx = max(prefix, default=0)
-    if mx > n or len(prefix) > length:
-        return
-    yield from rec(len(prefix), mx)
+    yield from rec(0, 0)
 
 
 def cell_prefixes(cell: CellSpec, depth: int) -> list[Word]:
@@ -177,7 +170,7 @@ def classify_family(word: Sequence[int]) -> str | None:
     or before it (prefix-heavy).
     """
     word = tuple(word)
-    mult = multiplicities(word)
+    mult = Counter(word)
     triples = [a for a, m in mult.items() if m == 3]
     if len(triples) != 1 or any(m not in (2, 3) for m in mult.values()):
         return None
@@ -187,8 +180,7 @@ def classify_family(word: Sequence[int]) -> str | None:
         return "head-triple"
     if mult[head] != 2:
         return None
-    second_head = index_occurrence(word, head, 2)
-    after = sum(1 for i in indices(word, star) if i > second_head)
+    after = word[word.index(head, 1):].count(star)
     if after == 2:
         return "tail-heavy"
     if after == 1:
@@ -198,7 +190,7 @@ def classify_family(word: Sequence[int]) -> str | None:
 
 def profile_witness(word: Sequence[int], cell: CellSpec) -> WitnessProfile:
     word = tuple(word)
-    mult = multiplicities(word)
+    mult = dict(Counter(word))
     triples = [a for a, m in mult.items() if m == 3]
     family = None
     if cell.length == 2 * cell.n_letters + 1:
@@ -245,11 +237,12 @@ def find_witnesses(cell: CellSpec, jobs: int = 1) -> WitnessReport:
     The witness list is in lexicographic order and ``total_classes`` is
     S(L, N), the classes the cell covers, as a full-cell scan would give.
     Parallel runs shard the run-free stream by prefix, with ``jobs``
-    clamped to the shard count; the merged shard results are sorted, so
-    they equal the sequential search's.
+    clamped to the CPU count and to the shard count; the merged shard
+    results are sorted, so they equal the sequential search's.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
+    jobs = min(jobs, os.cpu_count() or 1)
     start = time.perf_counter()
     shards = [(cell, p) for p in _shard_prefixes(cell, jobs)] if jobs > 1 else []
     jobs = min(jobs, len(shards))

@@ -2,7 +2,7 @@
 
 One pass sends the input word through a stack, pushing whenever the stack
 (read top to bottom, candidate letter on top) would still avoid every
-subsequence equivalent to the pattern, and popping the stack top to the
+subsequence that relabels to the pattern, and popping the stack top to the
 output otherwise.  The aba pattern has a dedicated fast path.
 """
 
@@ -23,26 +23,20 @@ from .words import (
 ABA: Word = (1, 2, 1)
 
 
-class MachineStuckError(RuntimeError):
-    """A push onto the empty stack is illegal, so the pass cannot progress.
-
-    Only possible for single-letter patterns; the aba machine never sticks.
-    """
-
-
 class DepthIndeterminateError(RuntimeError):
     """Iteration cap hit before reaching a sorted word or detecting a cycle."""
 
 
 @dataclass(frozen=True)
 class Pattern:
-    """The forbidden-subsequence class; stored in canonical (restricted-growth) form."""
+    """The forbidden-subsequence class, of at least two letters; stored in
+    canonical (restricted-growth) form."""
 
     word: Word
 
     def __post_init__(self):
-        if not self.word:
-            raise ValueError("pattern must be nonempty")
+        if len(self.word) < 2:
+            raise ValueError("pattern must have at least two letters")
         object.__setattr__(self, "word", canonicalize(self.word))
 
     @property
@@ -76,15 +70,6 @@ class Trace:
     output: Word
 
 
-def contains_pattern(word: Sequence[int], sigma: Pattern) -> bool:
-    """Whether some subsequence of ``word`` canonicalizes to the pattern."""
-    k = len(sigma.word)
-    if len(word) < k:
-        return False
-    word = tuple(word)
-    return any(canonicalize(sub) == sigma.word for sub in combinations(word, k))
-
-
 def push_is_legal(stack: Sequence[int], x: int, sigma: Pattern) -> bool:
     """Whether x may be pushed on a stack (given bottom to top) that avoids sigma.
 
@@ -92,8 +77,6 @@ def push_is_legal(stack: Sequence[int], x: int, sigma: Pattern) -> bool:
     through x need checking because the rest avoid sigma already.
     """
     k = len(sigma.word)
-    if k == 1:
-        return False
     rest = tuple(reversed(stack))
     if len(rest) < k - 1:
         return True
@@ -108,11 +91,6 @@ def _pass_generic(p: Sequence[int], sigma: Pattern, events: list | None) -> Word
     stack: list[int] = []
     for x in p:
         while not push_is_legal(stack, x, sigma):
-            if not stack:
-                raise MachineStuckError(
-                    f"cannot push {format_word((x,))} onto the empty stack "
-                    f"under sigma={sigma}"
-                )
             y = stack.pop()
             out.append(y)
             if events is not None:
@@ -212,10 +190,12 @@ def sorting_depth(
 
     Cycle detection runs on canonical forms: the pass commutes with letter
     relabeling and preserves the letter multiset, so the orbit of a class is
-    finite and a repeat means the word never sorts.
+    finite and a class seen twice means the word never sorts.
     """
     if cap is None:
         cap = default_cap(p, sigma)
+    if cap < 0:
+        raise ValueError(f"cap must be nonnegative, got {cap}")
     w = tuple(p)
     seen = {canonicalize(w)}
     for t in range(cap + 1):

@@ -22,7 +22,6 @@ from .enumeration import (
 from .machine import (
     ABA,
     Pattern,
-    apply_phi,
     apply_phi_aba,
     iterate,
     sorting_depth,
@@ -30,60 +29,15 @@ from .machine import (
 from .words import (
     Word,
     clumped_count,
-    concat,
     format_word,
-    index_occurrence,
     is_sorted,
     mcount,
     n_distinct,
-    slice_word,
     truncate,
 )
 
 # A cell's witness report: a fresh find_witnesses scan, or a suite run's cache.
 Cells = Callable[[CellSpec], WitnessReport]
-
-
-@dataclass(frozen=True)
-class HeadDecomposition:
-    """p = head^l1 s1 head^l2 s2 ... head^lm sm head^l(m+1), head absent from every s_i."""
-
-    head: int
-    exponents: tuple[int, ...]  # l1 .. l(m+1); all positive except possibly the last
-    segments: tuple[Word, ...]  # s1 .. sm, nonempty, head-free
-
-    def reassemble(self) -> Word:
-        out: list[int] = []
-        for exp, seg in zip(self.exponents, self.segments + ((),)):
-            out.extend([self.head] * exp)
-            out.extend(seg)
-        return tuple(out)
-
-
-def decompose_by_head(p: Sequence[int]) -> HeadDecomposition:
-    if not p:
-        raise ValueError("cannot decompose the empty word")
-    p = tuple(p)
-    head = p[0]
-    exponents: list[int] = []
-    segments: list[Word] = []
-    i = 0
-    n = len(p)
-    while i < n:
-        exp = 0
-        while i < n and p[i] == head:
-            exp += 1
-            i += 1
-        seg_start = i
-        while i < n and p[i] != head:
-            i += 1
-        seg = p[seg_start:i]
-        exponents.append(exp)
-        if seg:
-            segments.append(seg)
-    if len(exponents) == len(segments):  # word ends inside a segment
-        exponents.append(0)
-    return HeadDecomposition(head=head, exponents=tuple(exponents), segments=tuple(segments))
 
 
 @dataclass(frozen=True)
@@ -112,12 +66,12 @@ class CheckResult:
         return line
 
 
-def all_canonical_upto(max_len: int, min_len: int = 1) -> Iterator[Word]:
-    if not 1 <= min_len <= max_len:
-        raise ValueError(f"empty corpus: lengths {min_len}..{max_len}")
+def all_canonical_upto(max_len: int) -> Iterator[Word]:
+    if max_len < 1:
+        raise ValueError(f"empty corpus: lengths 1..{max_len}")
     return (
         w
-        for length in range(min_len, max_len + 1)
+        for length in range(1, max_len + 1)
         for n in range(1, length + 1)
         for w in canonical_partitions(CellSpec(n, length))
     )
@@ -128,11 +82,9 @@ def check_lemma_decomposition(max_len: int = 8) -> CheckResult:
     by all copies of the head letter."""
     scope = f"canonical words, length <= {max_len}"
     for p in all_canonical_upto(max_len):
-        dec = decompose_by_head(p)
-        rhs = concat(
-            *(apply_phi_aba(s) for s in dec.segments),
-            (dec.head,) * sum(dec.exponents),
-        )
+        head = p[0]
+        segments = (list(s) for is_head, s in groupby(p, lambda x: x == head) if not is_head)
+        rhs = tuple([x for s in segments for x in apply_phi_aba(s)] + [head] * p.count(head))
         lhs = apply_phi_aba(p)
         if lhs != rhs:
             return CheckResult(
@@ -280,17 +232,17 @@ def check_family_counts(n: int, cells: Cells = find_witnesses) -> CheckResult:
             )
         tallies[prof.family] += 1
         if prof.first_letter_mult == 2:
-            cut = index_occurrence(p, p[0], 2)
-            left = mcount(slice_word(p, 1, cut))
-            right = mcount(slice_word(p, cut, len(p)))
+            cut = p.index(p[0], 1)  # the head's second occurrence
+            left = mcount(p[:cut + 1])
+            right = mcount(p[cut:])
             if left > 2 or right > 2:
                 return CheckResult(
                     "family-counts", scope, False, p,
                     expected="slice mcount <= 2", actual=f"({left}, {right})",
                 )
             # the off-by-one slice variants used by the per-family counts
-            tail2 = mcount(slice_word(p, cut + 1, len(p))) == 2
-            pre2 = mcount(slice_word(p, 1, cut - 1)) == 2
+            tail2 = mcount(p[cut + 1:]) == 2
+            pre2 = mcount(p[:cut]) == 2
             want = prof.family == "tail-heavy"
             if tail2 != want or pre2 == want:
                 return CheckResult(

@@ -1,18 +1,17 @@
 """Word algebra for set partitions.
 
 A set partition is modelled as a word: a tuple of positive integer
-letter-ids.  Two words are equivalent when one is a letter-relabeling of
-the other; canonical representatives are restricted growth strings (each
-new letter's first appearance is the smallest unused positive integer).
-
-All positions in the public interface are 1-based.
+letter-ids.  Two words give the same partition when one is a
+letter-relabeling of the other; canonical representatives are restricted
+growth strings (each new letter's first appearance is the smallest unused
+positive integer).
 """
 
 from __future__ import annotations
 
 import string
 from collections import Counter
-from typing import Iterable, Sequence
+from typing import Sequence
 
 Word = tuple[int, ...]
 
@@ -64,40 +63,6 @@ def canonicalize(word: Sequence[int]) -> Word:
             relabel[x] = len(relabel) + 1
         out.append(relabel[x])
     return tuple(out)
-
-
-def is_canonical(word: Sequence[int]) -> bool:
-    mx = 0
-    for x in word:
-        if x > mx + 1:
-            return False
-        mx = max(mx, x)
-    return True
-
-
-def equivalent(p: Sequence[int], q: Sequence[int]) -> bool:
-    return canonicalize(p) == canonicalize(q)
-
-
-def indices(word: Sequence[int], letters: Iterable[int] | int) -> tuple[int, ...]:
-    """1-based positions whose letter lies in ``letters``, ascending."""
-    if isinstance(letters, int):
-        letters = {letters}
-    else:
-        letters = set(letters)
-    return tuple(i for i, x in enumerate(word, start=1) if x in letters)
-
-
-def index_occurrence(word: Sequence[int], letters: Iterable[int] | int, i: int) -> int:
-    """The i-th smallest (1-based) position of a letter from ``letters``."""
-    pos = indices(word, letters)
-    if not 1 <= i <= len(pos):
-        raise IndexError(f"occurrence {i} out of range (only {len(pos)} matches)")
-    return pos[i - 1]
-
-
-def multiplicities(word: Sequence[int]) -> dict[int, int]:
-    return dict(Counter(word))
 
 
 def mcount(word: Sequence[int]) -> int:
@@ -160,41 +125,3 @@ def truncate(word: Sequence[int]) -> Word:
         if not out or out[-1] != x:
             out.append(x)
     return tuple(out)
-
-
-def is_crossing(word: Sequence[int], x: int, y: int) -> bool:
-    """Whether two multiplicity-2 letters interleave as x y x y on merged positions."""
-    if x == y:
-        raise ValueError("crossing needs two distinct letters")
-    px = indices(word, x)
-    py = indices(word, y)
-    if len(px) != 2 or len(py) != 2:
-        raise ValueError(
-            f"crossing is defined only for multiplicity-2 letters "
-            f"(got {len(px)} and {len(py)} occurrences)"
-        )
-    merged = sorted(px + py)
-    firstthird = {merged[0], merged[2]}
-    return firstthird == set(px) or firstthird == set(py)
-
-
-def concat(*words: Sequence[int]) -> Word:
-    out: list[int] = []
-    for w in words:
-        out.extend(w)
-    return tuple(out)
-
-
-def repeat(word: Sequence[int], m: int) -> Word:
-    if m < 0:
-        raise ValueError("repeat count must be nonnegative")
-    return tuple(word) * m
-
-
-def slice_word(word: Sequence[int], i: int, j: int) -> Word:
-    """Inclusive 1-based sub-word p_i ... p_j; i = j+1 gives the empty word."""
-    if i == j + 1:
-        return ()
-    if not (1 <= i <= j <= len(word)):
-        raise IndexError(f"slice [{i}:{j}] out of range for length {len(word)}")
-    return tuple(word)[i - 1 : j]

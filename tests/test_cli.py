@@ -1,4 +1,5 @@
 import argparse
+import concurrent.futures
 import json
 import os
 from pathlib import Path
@@ -49,6 +50,20 @@ class TestApply:
         with pytest.raises(SystemExit) as exc:
             main(["apply", "ab1"])
         assert exc.value.code == 2
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize("argv", [
+        ["apply", "aba", "--sigma", "a"],
+        ["trace", "aba", "--sigma", "a"],
+        ["verify", "probe-sigma", "--sigma", "a"],
+        ["depth", "abab", "--cap", "-1"],
+    ])
+    def test_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(["--jobs", "1"] + argv)
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 class TestTrace:
@@ -161,10 +176,16 @@ class TestJobs:
             main(["--jobs", jobs, "stats", "ab"])
         assert exc.value.code == 2
 
-    def test_clamped_to_cpu_count(self):
-        # parse only: a pool of this size must never start
-        args = build_parser().parse_args(["--jobs", "100000", "stats", "ab"])
-        assert args.jobs == (os.cpu_count() or 1)
+    def test_clamped_to_cpu_count(self, capsys, monkeypatch):
+        # The search clamps jobs, so with one CPU no pool may start.
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a process pool was started")
+
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        code, records = run_records(
+            capsys, "--jobs", "100000", "enumerate", "--n", "3", "--length", "7")
+        assert code == 0 and records[0]["payload"]["witness_count"] == 12
 
 
 class TestVerify:
@@ -219,6 +240,12 @@ class TestVerify:
         )
         assert code == 0
         assert out == (GOLDEN / "verify_all_n3.records").read_text()
+
+    def test_probe_indeterminate_exit(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--jobs", "1", "verify", "probe-sigma", "--cap", "0"])
+        assert exc.value.code == 3
+        assert capsys.readouterr().err.startswith("indeterminate")
 
     def test_probe_sigma(self, capsys):
         code, records = run_records(

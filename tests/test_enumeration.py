@@ -1,3 +1,5 @@
+import concurrent.futures
+import os
 from collections import Counter
 from itertools import product
 from math import comb
@@ -17,7 +19,7 @@ from setsort.enumeration import (
     stirling2,
     witness_table,
 )
-from setsort.words import format_word, is_canonical, multiplicities, n_distinct, truncate
+from setsort.words import canonicalize, format_word, n_distinct, truncate
 
 
 def full_scan_witnesses(cell):
@@ -35,7 +37,7 @@ def brute_cell(n, length):
     return [
         w
         for w in product(range(1, n + 1), repeat=length)
-        if is_canonical(w) and n_distinct(w) == n
+        if canonicalize(w) == w and n_distinct(w) == n
     ]
 
 
@@ -70,21 +72,13 @@ class TestStream:
         stream = list(canonical_partitions(CellSpec(n, length)))
         assert len(stream) == stirling2(length, n)
         assert all(a < b for a, b in zip(stream, stream[1:]))
-        assert all(is_canonical(w) and n_distinct(w) == n for w in stream)
-
-    def test_prefix_restriction(self):
-        full = list(canonical_partitions(CellSpec(3, 5)))
-        restricted = list(canonical_partitions(CellSpec(3, 5), prefix=(1, 2)))
-        assert restricted == [w for w in full if w[:2] == (1, 2)]
+        assert all(canonicalize(w) == w and n_distinct(w) == n for w in stream)
 
     def test_prefix_shards_cover_cell(self):
         cell = CellSpec(3, 6)
-        sharded = [
-            w
-            for p in cell_prefixes(cell, depth=3)
-            for w in canonical_partitions(cell, prefix=p)
-        ]
-        assert sharded == list(canonical_partitions(cell))
+        full = list(canonical_partitions(cell))
+        sharded = [w for p in cell_prefixes(cell, depth=3) for w in full if w[:3] == p]
+        assert sharded == full
 
 
 class TestWitnessSearch:
@@ -129,6 +123,16 @@ class TestWitnessSearch:
         with pytest.raises(ValueError):
             find_witnesses(CellSpec(3, 6), jobs=jobs)
 
+    def test_jobs_clamped_to_cpu_count(self, monkeypatch):
+        # With one CPU a huge jobs value must not start a pool at all.
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a process pool was started")
+
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        report = find_witnesses(CellSpec(3, 7), jobs=10**6)
+        assert len(report.witnesses) == comb(4, 2) + 2 * comb(3, 2)
+
     def test_parallel_equals_sequential(self):
         for cell in (CellSpec(3, 10), CellSpec(4, 9), CellSpec(5, 11)):
             seq = find_witnesses(cell, jobs=1)
@@ -159,7 +163,7 @@ class TestQuotient:
             w
             for l in range(2 * n, length + 1)
             for w in canonical_partitions(CellSpec(n, l))
-            if truncate(w) == w and min(multiplicities(w).values()) >= 2
+            if truncate(w) == w and min(Counter(w).values()) >= 2
         )
         assert list(run_free_classes(CellSpec(n, length))) == want
 

@@ -1,4 +1,5 @@
 from collections import Counter
+from itertools import combinations
 
 import pytest
 from hypothesis import given
@@ -9,21 +10,26 @@ from setsort.machine import (
     ABA,
     DepthIndeterminateError,
     DepthResult,
-    MachineStuckError,
     Pattern,
     apply_phi,
     apply_phi_aba,
     apply_phi_generic,
-    contains_pattern,
     iterate,
     push_is_legal,
     sorting_depth,
     trace,
 )
-from setsort.words import format_word, is_sorted, parse
+from setsort.words import canonicalize, format_word, is_sorted, parse
 
 aba = Pattern(ABA)
 small_words = st.lists(st.integers(1, 5), max_size=10).map(tuple)
+
+
+def contains_pattern(word, sigma):
+    """The brute-force oracle: some subsequence of ``word`` relabels to the pattern."""
+    return any(
+        canonicalize(sub) == sigma.word for sub in combinations(word, len(sigma.word))
+    )
 
 
 def small_corpus(max_len):
@@ -42,6 +48,10 @@ class TestPattern:
     def test_nonempty(self):
         with pytest.raises(ValueError):
             Pattern(())
+
+    def test_single_letter_rejected(self):
+        with pytest.raises(ValueError):
+            Pattern((1,))
 
     def test_str(self):
         assert str(aba) == "aba"
@@ -108,10 +118,6 @@ class TestSinglePass:
         # Letter ids far above the word length take the dict-counted route.
         w = (10**12, 7, 10**12, 7, 3)
         assert apply_phi_aba(w) == apply_phi_generic(w, aba)
-
-    def test_single_letter_pattern_gets_stuck(self):
-        with pytest.raises(MachineStuckError):
-            apply_phi(parse("a"), Pattern((1,)))
 
 
 class TestIterate:
@@ -186,6 +192,10 @@ class TestSortingDepth:
     def test_indeterminate_on_tiny_cap(self):
         with pytest.raises(DepthIndeterminateError):
             sorting_depth(parse("abcabc"), aba, cap=1)
+
+    def test_negative_cap_rejected(self):
+        with pytest.raises(ValueError):
+            sorting_depth(parse("abab"), aba, cap=-1)
 
     def test_aba_cap_defaults_to_letter_count(self):
         # Every word sorts within N passes, so the default cap never trips.

@@ -17,43 +17,11 @@ from setsort.verification import (
     check_theorem_minimal,
     check_trunc_commute,
     check_upper_bound,
-    decompose_by_head,
     expected_next_minimal_count,
     probe_sigma,
     run_suite,
 )
 from setsort.words import parse
-
-
-class TestHeadDecomposition:
-    def test_basic(self):
-        dec = decompose_by_head(parse("abaca"))
-        assert dec.head == 1
-        assert dec.exponents == (1, 1, 1)
-        assert dec.segments == ((2,), (3,))
-
-    def test_leading_run(self):
-        dec = decompose_by_head(parse("aabca"))
-        assert dec.exponents == (2, 1)
-        assert dec.segments == ((2, 3),)
-
-    def test_single_letter_runs(self):
-        dec = decompose_by_head(parse("aaa"))
-        assert dec.exponents == (3,)
-        assert dec.segments == ()
-
-    def test_trailing_segment_gets_zero_exponent(self):
-        dec = decompose_by_head(parse("abc"))
-        assert dec.exponents == (1, 0)
-        assert dec.segments == ((2, 3),)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            decompose_by_head(())
-
-    @pytest.mark.parametrize("text", ["abaca", "aabca", "aaa", "abc", "abacabad"])
-    def test_reassemble_round_trip(self, text):
-        assert decompose_by_head(parse(text)).reassemble() == parse(text)
 
 
 class TestCheckResultContract:
