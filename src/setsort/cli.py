@@ -4,7 +4,7 @@ Subcommands: apply, trace, depth, stats, enumerate, verify.  The checks
 that verify offers, their order in ``verify all`` and the N each accepts
 come from ``verification.CHECKS``.  Output comes in three encodings
 selected by --format: human text (default), line-delimited JSON records,
-or CSV for tabular payloads.  Exit codes: 0 success, 1 verification
+or CSV (enumerate only).  Exit codes: 0 success, 1 verification
 failure / never-sorts under --strict, 2 usage error (an N-range below a
 check's least N included), 3 indeterminate depth.
 """
@@ -183,14 +183,11 @@ SUITE_NAMES = ["all", *verification.CHECKS]
 
 
 def cmd_verify(args) -> int:
-    if args.suite == "all":
-        results = verification.run_suite(
-            args.n_min, args.n_max, args.corpus_len, args.bound_len, jobs=args.jobs)
-    else:
-        results = verification.SuiteRun(
-            args.n_min, args.n_max, args.corpus_len, args.bound_len, args.jobs,
-            sigma=_parse_sigma(args.sigma), probe_len=args.corpus_len, cap=args.cap,
-        ).run([args.suite])
+    suite = verification.SuiteRun(
+        args.n_min, args.n_max, args.corpus_len, args.bound_len, args.jobs,
+        sigma=_parse_sigma(args.sigma), cap=args.cap,
+    )
+    results = suite.run(verification.CHECKS if args.suite == "all" else [args.suite])
     for result in results:
         if args.format == "records":
             emit_record("verify", {
@@ -280,6 +277,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.format == "csv" and args.command != "enumerate":
+        parser.exit(EXIT_USAGE, "error: --format csv applies to enumerate only\n")
     if getattr(args, "n_single", None) is not None:
         args.n_min = args.n_max = args.n_single
     try:

@@ -145,7 +145,6 @@ class WitnessProfile:
 
 @dataclass(frozen=True)
 class WitnessReport:
-    cell: CellSpec
     total_classes: int
     witnesses: tuple[WitnessProfile, ...]
     elapsed: float
@@ -256,7 +255,6 @@ def find_witnesses(cell: CellSpec, jobs: int = 1) -> WitnessReport:
         results = [_search_shard((cell, ()))]
     found = sorted(w for _, shard_found in results for w in shard_found)
     return WitnessReport(
-        cell=cell,
         total_classes=stirling2(cell.length, cell.n_letters),
         witnesses=tuple(profile_witness(w, cell) for w in found),
         elapsed=time.perf_counter() - start,

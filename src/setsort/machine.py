@@ -64,8 +64,6 @@ class TraceEvent:
 
 @dataclass(frozen=True)
 class Trace:
-    input: Word
-    sigma: Pattern
     events: tuple[TraceEvent, ...]
     output: Word
 
@@ -159,13 +157,11 @@ def trace(p: Sequence[int], sigma: Pattern) -> Trace:
     """The full push/pop event stream of one pass."""
     events: list[TraceEvent] = []
     out = _pass_generic(p, sigma, events)
-    return Trace(input=tuple(p), sigma=sigma, events=tuple(events), output=out)
+    return Trace(events=tuple(events), output=out)
 
 
 @dataclass(frozen=True)
 class DepthResult:
-    word: Word
-    sigma: Pattern
     sorts: bool
     depth: int | None = None  # least t with the t-th iterate sorted
     cycle_start: Word | None = None  # first repeated word, when sorts is False
@@ -173,14 +169,6 @@ class DepthResult:
     def __post_init__(self):
         if self.sorts != (self.depth is not None):
             raise ValueError("a depth is given exactly when the word sorts")
-
-
-def default_cap(p: Sequence[int], sigma: Pattern) -> int:
-    # N(p) passes always suffice for aba; elsewhere fail fast with a
-    # distinct indeterminate signal rather than loop.
-    if sigma.is_aba:
-        return n_distinct(p)
-    return 4 * len(p)
 
 
 def sorting_depth(
@@ -193,20 +181,22 @@ def sorting_depth(
     finite and a class seen twice means the word never sorts.
     """
     if cap is None:
-        cap = default_cap(p, sigma)
+        # N(p) passes always suffice for aba; elsewhere fail fast with a
+        # distinct indeterminate signal rather than loop.
+        cap = n_distinct(p) if sigma.is_aba else 4 * len(p)
     if cap < 0:
         raise ValueError(f"cap must be nonnegative, got {cap}")
     w = tuple(p)
     seen = {canonicalize(w)}
     for t in range(cap + 1):
         if is_sorted(w):
-            return DepthResult(word=tuple(p), sigma=sigma, sorts=True, depth=t)
+            return DepthResult(sorts=True, depth=t)
         if t == cap:
             break
         w = apply_phi(w, sigma)
         cw = canonicalize(w)
         if cw in seen:
-            return DepthResult(word=tuple(p), sigma=sigma, sorts=False, cycle_start=cw)
+            return DepthResult(sorts=False, cycle_start=cw)
         seen.add(cw)
     raise DepthIndeterminateError(
         f"{format_word(p)} under sigma={sigma}: no sort or cycle within {cap} passes"

@@ -8,6 +8,7 @@ first counterexample so it can be replayed through the machine module.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from itertools import groupby
 from math import comb
@@ -18,14 +19,9 @@ from .enumeration import (
     WitnessReport,
     canonical_partitions,
     find_witnesses,
+    is_witness,
 )
-from .machine import (
-    ABA,
-    Pattern,
-    apply_phi_aba,
-    iterate,
-    sorting_depth,
-)
+from .machine import Pattern, apply_phi_aba, sorting_depth
 from .words import (
     Word,
     clumped_count,
@@ -38,6 +34,8 @@ from .words import (
 
 # A cell's witness report: a fresh find_witnesses scan, or a suite run's cache.
 Cells = Callable[[CellSpec], WitnessReport]
+# A per-word test's verdict: (expected, actual) at a counterexample, else None.
+Failure = tuple[str, str] | None
 
 
 @dataclass(frozen=True)
@@ -77,88 +75,88 @@ def all_canonical_upto(max_len: int) -> Iterator[Word]:
     )
 
 
+def first_failure(
+    name: str, scope: str, corpus: Iterable[Word], fails: Callable[[Word], Failure], detail: str = ""
+) -> CheckResult:
+    """A failure at the first word of ``corpus`` for which ``fails`` gives
+    (expected, actual); else a pass, ``{count}`` in ``detail`` set to the words scanned."""
+    count = 0
+    for count, p in enumerate(corpus, 1):
+        found = fails(p)
+        if found is not None:
+            return CheckResult(name, scope, False, p, *found)
+    return CheckResult(name, scope, True, detail=detail.format(count=count))
+
+
 def check_lemma_decomposition(max_len: int = 8) -> CheckResult:
     """One aba pass equals the recursive pass on head-free segments followed
     by all copies of the head letter."""
-    scope = f"canonical words, length <= {max_len}"
-    for p in all_canonical_upto(max_len):
+
+    def fails(p: Word) -> Failure:
         head = p[0]
         segments = (list(s) for is_head, s in groupby(p, lambda x: x == head) if not is_head)
         rhs = tuple([x for s in segments for x in apply_phi_aba(s)] + [head] * p.count(head))
         lhs = apply_phi_aba(p)
-        if lhs != rhs:
-            return CheckResult(
-                "lemma-decomposition", scope, False, p,
-                expected=format_word(rhs), actual=format_word(lhs),
-            )
-    return CheckResult("lemma-decomposition", scope, True)
+        return None if lhs == rhs else (format_word(rhs), format_word(lhs))
+
+    scope = f"canonical words, length <= {max_len}"
+    return first_failure("lemma-decomposition", scope, all_canonical_upto(max_len), fails)
 
 
 def check_clump_growth(max_len: int = 8) -> CheckResult:
     """An unsorted word strictly gains clumped letters in one aba pass."""
-    scope = f"unsorted canonical words, length <= {max_len}"
-    for p in all_canonical_upto(max_len):
-        if is_sorted(p):
-            continue
+
+    def fails(p: Word) -> Failure:
         before = clumped_count(p)
         after = clumped_count(apply_phi_aba(p))
-        if after <= before:
-            return CheckResult(
-                "clump-growth", scope, False, p,
-                expected=f"> {before}", actual=str(after),
-            )
-    return CheckResult("clump-growth", scope, True)
+        return None if after > before else (f"> {before}", str(after))
+
+    scope = f"unsorted canonical words, length <= {max_len}"
+    unsorted = (p for p in all_canonical_upto(max_len) if not is_sorted(p))
+    return first_failure("clump-growth", scope, unsorted, fails)
 
 
 def check_trunc_commute(max_len: int = 8) -> CheckResult:
     """Truncation commutes with the aba pass up to truncation."""
-    scope = f"canonical words, length <= {max_len}"
-    for p in all_canonical_upto(max_len):
+
+    def fails(p: Word) -> Failure:
         lhs = truncate(apply_phi_aba(p))
         rhs = truncate(apply_phi_aba(truncate(p)))
-        if lhs != rhs:
-            return CheckResult(
-                "trunc-commute", scope, False, p,
-                expected=format_word(rhs), actual=format_word(lhs),
-            )
-    return CheckResult("trunc-commute", scope, True)
+        return None if lhs == rhs else (format_word(rhs), format_word(lhs))
+
+    scope = f"canonical words, length <= {max_len}"
+    return first_failure("trunc-commute", scope, all_canonical_upto(max_len), fails)
 
 
 def check_cor_lockstep(witnesses: Sequence[Sequence[int]]) -> CheckResult:
     """A witness gains exactly one clumped letter per pass: C after pass i is i,
     and the word first sorts at pass N."""
-    scope = f"{len(witnesses)} witnesses"
-    for p in witnesses:
-        n = n_distinct(p)
-        w = tuple(p)
+
+    def fails(w: Word) -> Failure:
+        n = n_distinct(w)
         for i in range(n):
             c = clumped_count(w)
             if c != i:
-                return CheckResult(
-                    "lockstep", scope, False, tuple(p),
-                    expected=f"C(phi^{i}) = {i}", actual=str(c),
-                )
+                return f"C(phi^{i}) = {i}", str(c)
             w = apply_phi_aba(w)
-        if not is_sorted(w):
-            return CheckResult(
-                "lockstep", scope, False, tuple(p),
-                expected=f"sorted after {n} passes", actual="unsorted",
-            )
-    return CheckResult("lockstep", scope, True)
+        return None if is_sorted(w) else (f"sorted after {n} passes", "unsorted")
+
+    return first_failure("lockstep", f"{len(witnesses)} witnesses", map(tuple, witnesses), fails)
 
 
 def check_upper_bound(max_len: int = 9) -> CheckResult:
-    """Every word is sorted after N passes, N its distinct-letter count."""
-    scope = f"canonical words, length <= {max_len}"
-    count = 0
-    for p in all_canonical_upto(max_len):
-        count += 1
-        if not is_sorted(iterate(p, Pattern(ABA), n_distinct(p))):
-            return CheckResult(
-                "upper-bound", scope, False, p,
-                expected="sorted", actual="unsorted",
-            )
-    return CheckResult("upper-bound", scope, True, detail=f"{count} classes")
+    """Every word is sorted after N passes, N its distinct-letter count.
+
+    That is, no word is a witness for N + 1 letters.  ``is_witness`` stops
+    at the first sorted iterate, which is exact: a sorted word stays sorted
+    under an aba pass, since every push is legal and the pass only
+    reverses its blocks.
+    """
+    return first_failure(
+        "upper-bound", f"canonical words, length <= {max_len}", all_canonical_upto(max_len),
+        lambda p: ("sorted", "unsorted") if is_witness(p, n_distinct(p) + 1) else None,
+        detail="{count} classes",
+    )
 
 
 def check_theorem_minimal(n: int, cells: Cells = find_witnesses) -> CheckResult:
@@ -204,16 +202,13 @@ def check_theorem_count(n: int, cells: Cells = find_witnesses) -> CheckResult:
 
 def check_multiplicity_profile(n: int, cells: Cells = find_witnesses) -> CheckResult:
     """Every length-2N+1 witness has one triple letter and N-1 double letters."""
-    scope = f"N={n}, L={2 * n + 1}"
-    report = cells(CellSpec(n, 2 * n + 1))
-    for prof in report.witnesses:
-        counts = sorted(prof.multiplicities.values(), reverse=True)
-        if counts != [3] + [2] * (n - 1):
-            return CheckResult(
-                "multiplicity-profile", scope, False, prof.witness,
-                expected="one letter x3, rest x2", actual=str(counts),
-            )
-    return CheckResult("multiplicity-profile", scope, True)
+
+    def fails(p: Word) -> Failure:
+        counts = sorted(Counter(p).values(), reverse=True)
+        return None if counts == [3] + [2] * (n - 1) else ("one letter x3, rest x2", str(counts))
+
+    witnesses = (w.witness for w in cells(CellSpec(n, 2 * n + 1)).witnesses)
+    return first_failure("multiplicity-profile", f"N={n}, L={2 * n + 1}", witnesses, fails)
 
 
 def check_family_counts(n: int, cells: Cells = find_witnesses) -> CheckResult:
@@ -304,7 +299,7 @@ CHECKS: dict[str, Check] = {
     "multiplicity-profile": Check(lambda s, n: check_multiplicity_profile(n, s.report), "per-n"),
     "family-counts": Check(lambda s, n: check_family_counts(n, s.report), "per-n"),
     "lockstep": Check(lambda s: check_cor_lockstep(s.witnesses()), "n-range"),
-    "probe-sigma": Check(lambda s: probe_sigma(s.sigma, s.probe_len, s.cap)),
+    "probe-sigma": Check(lambda s: probe_sigma(s.sigma, s.corpus_len, s.cap)),
 }
 
 # The checks that read the N-range need N >= 3: below it no witness exists
@@ -317,7 +312,7 @@ class SuiteRun:
     """The settings of one verify run, and the witness reports it has scanned.
 
     Each cell is scanned once per run, with the run's ``jobs``; another run
-    scans afresh.  ``sigma``, ``probe_len`` and ``cap`` set probe-sigma.
+    scans afresh.  probe-sigma probes ``sigma`` over the corpus, capped at ``cap``.
     """
 
     n_min: int
@@ -326,7 +321,6 @@ class SuiteRun:
     bound_len: int
     jobs: int = 1
     sigma: Pattern = Pattern((1, 2))
-    probe_len: int = 4
     cap: int | None = None
     reports: dict[CellSpec, WitnessReport] = field(default_factory=dict, init=False, repr=False)
 
@@ -372,5 +366,5 @@ def run_suite(
     bound_len: int = 9,
     jobs: int = 1,
 ) -> list[CheckResult]:
-    """Every check of CHECKS, probe-sigma probing ab over lengths <= 4."""
+    """Every check of CHECKS, probe-sigma probing ab."""
     return SuiteRun(n_min, n_max, corpus_len, bound_len, jobs).run(CHECKS)

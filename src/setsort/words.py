@@ -73,15 +73,8 @@ def mcount(word: Sequence[int]) -> int:
 
 
 def _clumped_letters(word: Sequence[int]) -> set[int]:
-    first: dict[int, int] = {}
-    last: dict[int, int] = {}
-    count: dict[int, int] = {}
-    for i, x in enumerate(word):
-        if x not in first:
-            first[x] = i
-        last[x] = i
-        count[x] = count.get(x, 0) + 1
-    return {x for x in count if last[x] - first[x] + 1 == count[x]}
+    """The letters of one run: those that occur once in the truncation."""
+    return {x for x, c in Counter(truncate(word)).items() if c == 1}
 
 
 def clumped_count(word: Sequence[int]) -> int:

@@ -58,6 +58,8 @@ class TestUsageErrors:
         ["trace", "aba", "--sigma", "a"],
         ["verify", "probe-sigma", "--sigma", "a"],
         ["depth", "abab", "--cap", "-1"],
+        ["--format", "csv", "apply", "abcac"],
+        ["--format", "csv", "verify", "theorem-count", "--n", "3"],
     ])
     def test_usage_error(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
@@ -246,6 +248,23 @@ class TestVerify:
             main(["--jobs", "1", "verify", "probe-sigma", "--cap", "0"])
         assert exc.value.code == 3
         assert capsys.readouterr().err.startswith("indeterminate")
+
+    def test_all_honours_cap(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--jobs", "1", "verify", "all", "--n", "3",
+                  "--corpus-len", "4", "--bound-len", "4", "--cap", "0"])
+        assert exc.value.code == 3
+        assert capsys.readouterr().err.startswith("indeterminate")
+
+    def test_all_honours_sigma(self, capsys):
+        code, records = run_records(
+            capsys, "--jobs", "1", "verify", "all", "--n", "3",
+            "--sigma", "abc", "--corpus-len", "4", "--bound-len", "4",
+        )
+        assert code == 0
+        probe = records[-1]["payload"]
+        assert probe["name"] == "probe-sigma-abc"
+        assert probe["scope"] == "canonical words, length <= 4"
 
     def test_probe_sigma(self, capsys):
         code, records = run_records(

@@ -187,7 +187,7 @@ class TestSortingDepth:
     @pytest.mark.parametrize("sorts,depth", [(True, None), (False, 2)])
     def test_result_rejects_inconsistent_depth(self, sorts, depth):
         with pytest.raises(ValueError):
-            DepthResult(word=(1, 2, 1), sigma=aba, sorts=sorts, depth=depth)
+            DepthResult(sorts=sorts, depth=depth)
 
     def test_indeterminate_on_tiny_cap(self):
         with pytest.raises(DepthIndeterminateError):

@@ -3,7 +3,7 @@ from math import comb
 import pytest
 
 from setsort import verification
-from setsort.enumeration import CellSpec
+from setsort.enumeration import CellSpec, find_witnesses
 from setsort.machine import Pattern
 from setsort.verification import (
     CHECKS,
@@ -21,7 +21,7 @@ from setsort.verification import (
     probe_sigma,
     run_suite,
 )
-from setsort.words import parse
+from setsort.words import is_sorted, parse
 
 
 class TestCheckResultContract:
@@ -70,6 +70,48 @@ class TestLockstep:
     def test_rejects_non_witness(self):
         result = check_cor_lockstep([parse("aabb")])
         assert not result.passed
+
+
+def _identity(w):
+    return tuple(w)
+
+
+def _rotate(w):
+    # Moves a run's first letter to the end: aab -> aba, while its
+    # truncation ab -> ba, so truncation no longer commutes with the pass.
+    return tuple(w[1:]) + tuple(w[:1])
+
+
+def _unsorted_is_witness(w, n_letters):
+    # A witness test that makes no pass.
+    return not is_sorted(w)
+
+
+def _shifted_cells(cell):
+    # Hands out the (N, 2N) cell for (N, 2N+1): abcabc has no triple letter.
+    return find_witnesses(CellSpec(cell.n_letters, cell.length - 1))
+
+
+class TestFailurePaths:
+    @pytest.mark.parametrize("run,name,broken,counterexample", [
+        (lambda: check_lemma_decomposition(4), "apply_phi_aba", _identity, "ab"),
+        (lambda: check_clump_growth(4), "apply_phi_aba", _identity, "aba"),
+        (lambda: check_trunc_commute(4), "apply_phi_aba", _rotate, "aab"),
+        (lambda: check_upper_bound(4), "is_witness", _unsorted_is_witness, "aba"),
+        (lambda: check_cor_lockstep([parse("abcabc"), parse("abcdabcd")]),
+         "apply_phi_aba", _identity, "abcabc"),
+        (lambda: check_multiplicity_profile(3, _shifted_cells), None, None, "abcabc"),
+    ], ids=[
+        "lemma-decomposition", "clump-growth", "trunc-commute", "upper-bound",
+        "lockstep", "multiplicity-profile",
+    ])
+    def test_first_counterexample(self, monkeypatch, run, name, broken, counterexample):
+        if name is not None:
+            monkeypatch.setattr(verification, name, broken)
+        result = run()
+        assert not result.passed
+        assert result.counterexample == parse(counterexample)
+        assert result.expected and result.actual
 
 
 class TestTheoremChecks:
