@@ -187,8 +187,9 @@ def cmd_verify(args) -> int:
         args.n_min, args.n_max, args.corpus_len, args.bound_len, args.jobs,
         sigma=_parse_sigma(args.sigma), cap=args.cap,
     )
-    results = suite.run(verification.CHECKS if args.suite == "all" else [args.suite])
-    for result in results:
+    passed = True
+    for result in suite.run(verification.CHECKS if args.suite == "all" else [args.suite]):
+        passed = passed and result.passed
         if args.format == "records":
             emit_record("verify", {
                 "name": result.name,
@@ -204,7 +205,8 @@ def cmd_verify(args) -> int:
             })
         else:
             print(result.summary())
-    return EXIT_OK if all(r.passed for r in results) else EXIT_FAIL
+        sys.stdout.flush()  # a long run shows each result when it is found
+    return EXIT_OK if passed else EXIT_FAIL
 
 
 def _positive_int(text: str) -> int:

@@ -127,6 +127,31 @@ def run_free_classes(
     yield from rec(max(word, default=0), counts.count(1))
 
 
+def run_free_upto(max_len: int) -> Iterator[Word]:
+    """Run-free RGS words (no two equal neighbours) of lengths 1..max_len,
+    shortest first, then in lexicographic order.
+
+    These are the truncations of all RGS words of length at most
+    ``max_len``; there are B(l-1) of length l (Bell numbers).
+    """
+    if max_len < 1:
+        raise ValueError(f"empty corpus: lengths 1..{max_len}")
+    word: list[int] = []
+
+    def rec(length: int, mx: int) -> Iterator[Word]:
+        if len(word) == length:
+            yield tuple(word)
+            return
+        last = word[-1] if word else 0
+        for v in range(1, mx + 2):
+            if v != last:
+                word.append(v)
+                yield from rec(length, max(mx, v))
+                word.pop()
+
+    return (w for length in range(1, max_len + 1) for w in rec(length, 0))
+
+
 def run_expansions(word: Sequence[int], length: int) -> Iterator[Word]:
     """The C(length-1, len(word)-1) words of ``length`` that truncate to a run-free word."""
     for cuts in combinations(range(1, length), len(word) - 1):

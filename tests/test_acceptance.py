@@ -93,7 +93,8 @@ def test_criterion_4_upper_bound():
     assert result.passed, result.summary()
     assert stirling2(9, 1) and sum(stirling2(9, n) for n in range(1, 10)) == 21147
     assert elapsed < 30
-    report(4, f"all words of length <= 9 sorted within N passes, {elapsed:.2f}s")
+    report(4, f"run-free words of length <= 9 sorted within N passes, so all words by "
+              f"trunc-commute ({result.detail}), {elapsed:.2f}s")
 
 
 def test_criterion_5_decomposition_lemma():

@@ -256,6 +256,18 @@ class TestVerify:
         assert exc.value.code == 3
         assert capsys.readouterr().err.startswith("indeterminate")
 
+    def test_all_prints_each_result_as_found(self, capsys):
+        # probe-sigma, the last check, hits the cap after nine checks passed.
+        with pytest.raises(SystemExit) as exc:
+            main(["--format", "records", "--jobs", "1", "verify", "all", "--n", "3",
+                  "--corpus-len", "4", "--bound-len", "4", "--cap", "0"])
+        assert exc.value.code == 3
+        out, err = capsys.readouterr()
+        payloads = [json.loads(line)["payload"] for line in out.splitlines()]
+        assert [p["name"] for p in payloads] == list(CHECKS)[:-1]
+        assert all(p["passed"] for p in payloads)
+        assert err.startswith("indeterminate")
+
     def test_all_honours_sigma(self, capsys):
         code, records = run_records(
             capsys, "--jobs", "1", "verify", "all", "--n", "3",

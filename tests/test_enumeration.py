@@ -16,9 +16,11 @@ from setsort.enumeration import (
     is_witness,
     run_expansions,
     run_free_classes,
+    run_free_upto,
     stirling2,
     witness_table,
 )
+from setsort.verification import all_canonical_upto
 from setsort.words import canonicalize, format_word, n_distinct, truncate
 
 
@@ -39,6 +41,18 @@ def brute_cell(n, length):
         for w in product(range(1, n + 1), repeat=length)
         if canonicalize(w) == w and n_distinct(w) == n
     ]
+
+
+def bell_numbers(count):
+    """B(0), ..., B(count - 1), read off the Bell triangle."""
+    bells, row = [], [1]
+    for _ in range(count):
+        bells.append(row[0])
+        nxt = [row[-1]]
+        for x in row:
+            nxt.append(nxt[-1] + x)
+        row = nxt
+    return bells
 
 
 class TestStirling:
@@ -166,6 +180,15 @@ class TestQuotient:
             if truncate(w) == w and min(Counter(w).values()) >= 2
         )
         assert list(run_free_classes(CellSpec(n, length))) == want
+
+    @pytest.mark.parametrize("max_len", range(1, 9))
+    def test_run_free_upto_is_truncation_quotient(self, max_len):
+        stream = list(run_free_upto(max_len))
+        assert len(set(stream)) == len(stream)
+        assert set(stream) == {truncate(p) for p in all_canonical_upto(max_len)}
+        assert stream == sorted(stream, key=lambda w: (len(w), w))
+        per_length = Counter(len(w) for w in stream)
+        assert [per_length[l] for l in range(1, max_len + 1)] == bell_numbers(max_len)
 
     def test_shard_prefixes_cover_stream(self):
         cell = CellSpec(4, 10)

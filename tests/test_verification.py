@@ -3,11 +3,12 @@ from math import comb
 import pytest
 
 from setsort import verification
-from setsort.enumeration import CellSpec, find_witnesses
+from setsort.enumeration import CellSpec, find_witnesses, is_witness
 from setsort.machine import Pattern
 from setsort.verification import (
     CHECKS,
     CheckResult,
+    all_canonical_upto,
     check_clump_growth,
     check_cor_lockstep,
     check_family_counts,
@@ -21,7 +22,7 @@ from setsort.verification import (
     probe_sigma,
     run_suite,
 )
-from setsort.words import is_sorted, parse
+from setsort.words import is_sorted, n_distinct, parse
 
 
 class TestCheckResultContract:
@@ -51,8 +52,19 @@ class TestCorpusChecks:
     def test_upper_bound(self):
         result = check_upper_bound(6)
         assert result.passed
-        # Bell numbers B(1..6)
-        assert result.detail == f"{1 + 2 + 5 + 15 + 52 + 203} classes"
+        # Bell numbers: B(1..6) classes covered, B(0..5) run-free words tested
+        assert result.detail == (
+            f"{1 + 2 + 5 + 15 + 52 + 203} classes, {1 + 1 + 2 + 5 + 15 + 52} run-free tested"
+        )
+
+    def test_upper_bound_equals_full_corpus_scan(self):
+        # The oracle: every canonical word, not only the run-free ones.
+        classes = 0
+        for classes, p in enumerate(all_canonical_upto(8), 1):
+            assert not is_witness(p, n_distinct(p) + 1), p
+        result = check_upper_bound(8)
+        assert result.passed
+        assert result.detail.startswith(f"{classes} classes, ")
 
     @pytest.mark.parametrize("check", [
         check_lemma_decomposition, check_clump_growth, check_trunc_commute, check_upper_bound,
