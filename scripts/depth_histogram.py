@@ -11,6 +11,7 @@ Usage: python scripts/depth_histogram.py [--max-len 9]
 import argparse
 from collections import Counter
 
+from setsort.cli import usage_errors
 from setsort.machine import sorting_depth
 from setsort.verification import all_canonical_upto
 
@@ -20,9 +21,8 @@ def main():
     parser.add_argument("--max-len", type=int, default=9)
     args = parser.parse_args()
 
-    hist = Counter()
-    for w in all_canonical_upto(args.max_len):
-        hist[sorting_depth(w).depth] += 1
+    with usage_errors(parser):
+        hist = Counter(sorting_depth(w).depth for w in all_canonical_upto(args.max_len))
     total = sum(hist.values())
     print(f"{total} canonical words, length <= {args.max_len}")
     for depth in sorted(hist):

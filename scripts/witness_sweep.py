@@ -17,6 +17,7 @@ import argparse
 import csv
 import sys
 
+from setsort.cli import usage_errors
 from setsort.enumeration import witness_table
 
 
@@ -29,10 +30,11 @@ def main():
     parser.add_argument("--jobs", type=int, default=1)
     args = parser.parse_args()
 
+    with usage_errors(parser):
+        rows = witness_table(args.n_min, args.n_max, args.offset, jobs=args.jobs)
     writer = csv.writer(sys.stdout)
     writer.writerow(["n_letters", "length", "total_classes", "witness_count"])
-    for row in witness_table(args.n_min, args.n_max, args.offset, jobs=args.jobs):
-        writer.writerow(row)
+    writer.writerows(rows)
 
 
 if __name__ == "__main__":

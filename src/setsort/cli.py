@@ -4,7 +4,8 @@ Subcommands: apply, trace, depth, stats, enumerate, verify.  The checks
 that verify offers, their order in ``verify all`` and the N each accepts
 come from ``verification.CHECKS``.  Output comes in three encodings
 selected by --format: human text (default), line-delimited JSON records,
-or CSV (enumerate only).  Exit codes: 0 success, 1 verification
+or CSV (enumerate only).  Human text and records come from one payload
+per result, printed through ``_show``.  Exit codes: 0 success, 1 verification
 failure / never-sorts under --strict, 2 usage error (an N-range below a
 check's least N included), 3 indeterminate depth.
 """
@@ -16,6 +17,10 @@ import csv
 import json
 import os
 import sys
+from collections import Counter
+from contextlib import contextmanager
+from itertools import chain
+from typing import Iterable, Iterator
 
 from . import enumeration, verification, words
 from .machine import (
@@ -39,6 +44,29 @@ def emit_record(command: str, payload: dict) -> None:
     print(json.dumps(record, sort_keys=True))
 
 
+def _show(args, payload: dict, lines: Iterable[object]) -> None:
+    """The one output path: the command's record, or its human ``lines``.
+
+    ``lines`` is consumed only when printed, so a lazy iterable costs a
+    records query nothing.
+    """
+    if args.format == "records":
+        emit_record(args.command, payload)
+    else:
+        print(*lines, sep="\n")
+
+
+@contextmanager
+def usage_errors(parser: argparse.ArgumentParser) -> Iterator[None]:
+    """Exit 2 with ``error: ...`` on a ValueError, 3 on a capped depth."""
+    try:
+        yield
+    except DepthIndeterminateError as exc:
+        parser.exit(EXIT_INDETERMINATE, f"indeterminate (cap): {exc}\n")
+    except ValueError as exc:
+        parser.exit(EXIT_USAGE, f"error: {exc}\n")
+
+
 def _parse_sigma(text: str) -> Pattern:
     return Pattern(words.parse(text))
 
@@ -46,16 +74,13 @@ def _parse_sigma(text: str) -> Pattern:
 def cmd_apply(args) -> int:
     p = words.parse(args.partition)
     sigma = _parse_sigma(args.sigma)
-    out = iterate(p, sigma, args.iterations)
-    if args.format == "records":
-        emit_record("apply", {
-            "input": words.format_word(p),
-            "sigma": str(sigma),
-            "iterations": args.iterations,
-            "output": words.format_word(out),
-        })
-    else:
-        print(words.format_word(out))
+    out = words.format_word(iterate(p, sigma, args.iterations))
+    _show(args, {
+        "input": words.format_word(p),
+        "sigma": str(sigma),
+        "iterations": args.iterations,
+        "output": out,
+    }, [out])
     return EXIT_OK
 
 
@@ -63,54 +88,37 @@ def cmd_trace(args) -> int:
     p = words.parse(args.partition)
     sigma = _parse_sigma(args.sigma)
     t = trace(p, sigma)
-    if args.format == "records":
-        emit_record("trace", {
-            "input": words.format_word(p),
-            "sigma": str(sigma),
-            "events": [
-                {
-                    "kind": e.kind,
-                    "letter": words.format_word((e.letter,)),
-                    "stack": words.format_word(e.stack_after),
-                    "out": words.format_word(e.output_after),
-                }
-                for e in t.events
-            ],
-            "output": words.format_word(t.output),
-        })
-    else:
-        for e in t.events:
-            print(e)
-        print(f"output: {words.format_word(t.output)}")
+    out = words.format_word(t.output)
+    _show(args, {
+        "input": words.format_word(p),
+        "sigma": str(sigma),
+        "events": [
+            {
+                "kind": e.kind,
+                "letter": words.format_word((e.letter,)),
+                "stack": words.format_word(e.stack_after),
+                "out": words.format_word(e.output_after),
+            }
+            for e in t.events
+        ],
+        "output": out,
+    }, chain(t.events, [f"output: {out}"]))
     return EXIT_OK
 
 
 def cmd_depth(args) -> int:
     p = words.parse(args.partition)
     sigma = _parse_sigma(args.sigma)
+    payload = {"input": words.format_word(p), "sigma": str(sigma)}
     try:
         result = sorting_depth(p, sigma, cap=args.cap)
     except DepthIndeterminateError as exc:
-        if args.format == "records":
-            emit_record("depth", {"input": words.format_word(p),
-                                  "sigma": str(sigma), "status": "indeterminate"})
-        else:
-            print(f"indeterminate (cap): {exc}")
+        _show(args, {**payload, "status": "indeterminate"}, [f"indeterminate (cap): {exc}"])
         return EXIT_INDETERMINATE
-    if args.format == "records":
-        emit_record("depth", {
-            "input": words.format_word(p),
-            "sigma": str(sigma),
-            "status": "sorted" if result.sorts else "never-sorts",
-            "depth": result.depth,
-        })
-    elif result.sorts:
-        print(result.depth)
-    else:
-        print("never-sorts (cycle)")
-    if not result.sorts and args.strict:
-        return EXIT_FAIL
-    return EXIT_OK
+    payload["status"] = "sorted" if result.sorts else "never-sorts"
+    payload["depth"] = result.depth
+    _show(args, payload, [result.depth if result.sorts else "never-sorts (cycle)"])
+    return EXIT_FAIL if args.strict and not result.sorts else EXIT_OK
 
 
 def cmd_stats(args) -> int:
@@ -128,24 +136,20 @@ def cmd_stats(args) -> int:
         "truncation": words.format_word(words.truncate(p)),
         "reverse": words.format_word(words.reverse(p)),
     }
-    if args.format == "records":
-        emit_record("stats", payload)
-    else:
-        for key, value in payload.items():
-            print(f"{key}: {value}")
+    _show(args, payload, (f"{key}: {value}" for key, value in payload.items()))
     return EXIT_OK
 
 
 def _profile_payload(prof: enumeration.WitnessProfile) -> dict:
+    """A witness's record: its letters' multiplicities, the unique
+    multiplicity-3 letter (if there is exactly one) and its family tag."""
+    mult = Counter(prof.witness)
+    triples = [a for a, m in mult.items() if m == 3]
     return {
         "witness": words.format_word(prof.witness),
-        "multiplicities": {
-            words.format_word((a,)): m for a, m in sorted(prof.multiplicities.items())
-        },
-        "triple_letter": (
-            words.format_word((prof.triple_letter,)) if prof.triple_letter else None
-        ),
-        "first_letter_mult": prof.first_letter_mult,
+        "multiplicities": {words.format_word((a,)): m for a, m in sorted(mult.items())},
+        "triple_letter": words.format_word(triples) if len(triples) == 1 else None,
+        "first_letter_mult": mult[prof.witness[0]],
         "family": prof.family,
     }
 
@@ -153,29 +157,27 @@ def _profile_payload(prof: enumeration.WitnessProfile) -> dict:
 def cmd_enumerate(args) -> int:
     cell = enumeration.CellSpec(args.n, args.length)
     report = enumeration.find_witnesses(cell, jobs=args.jobs)
-    if args.format == "records":
-        payload = {
-            "n_letters": cell.n_letters,
-            "length": cell.length,
-            "total_classes": report.total_classes,
-            "witness_count": len(report.witnesses),
-        }
-        if args.witnesses:
-            payload["witnesses"] = [_profile_payload(w) for w in report.witnesses]
-        emit_record("enumerate", payload)
-    elif args.format == "csv":
+    if args.format == "csv":
         writer = csv.writer(sys.stdout)
         writer.writerow(["n_letters", "length", "witness", "family"])
         for prof in report.witnesses:
             writer.writerow([cell.n_letters, cell.length,
                              words.format_word(prof.witness), prof.family or ""])
-    else:
-        print(f"cell N={cell.n_letters} L={cell.length}: "
-              f"{report.total_classes} classes, {len(report.witnesses)} witnesses")
-        if args.witnesses:
-            for prof in report.witnesses:
-                family = f" [{prof.family}]" if prof.family else ""
-                print(f"  {words.format_word(prof.witness)}{family}")
+        return EXIT_OK
+    payload = {
+        "n_letters": cell.n_letters,
+        "length": cell.length,
+        "total_classes": report.total_classes,
+        "witness_count": len(report.witnesses),
+    }
+    if args.witnesses:
+        payload["witnesses"] = [_profile_payload(w) for w in report.witnesses]
+    _show(args, payload, chain(
+        [f"cell N={cell.n_letters} L={cell.length}: "
+         f"{report.total_classes} classes, {len(report.witnesses)} witnesses"],
+        (f"  {w['witness']}" + (f" [{w['family']}]" if w["family"] else "")
+         for w in payload.get("witnesses", ())),
+    ))
     return EXIT_OK
 
 
@@ -190,21 +192,9 @@ def cmd_verify(args) -> int:
     passed = True
     for result in suite.run(verification.CHECKS if args.suite == "all" else [args.suite]):
         passed = passed and result.passed
-        if args.format == "records":
-            emit_record("verify", {
-                "name": result.name,
-                "scope": result.scope,
-                "passed": result.passed,
-                "detail": result.detail,
-                "counterexample": (
-                    words.format_word(result.counterexample)
-                    if result.counterexample is not None else None
-                ),
-                "expected": result.expected,
-                "actual": result.actual,
-            })
-        else:
-            print(result.summary())
+        c = result.counterexample
+        _show(args, {**vars(result), "counterexample": None if c is None else words.format_word(c)},
+             [result.summary()])
         sys.stdout.flush()  # a long run shows each result when it is found
     return EXIT_OK if passed else EXIT_FAIL
 
@@ -283,12 +273,8 @@ def main(argv: list[str] | None = None) -> int:
         parser.exit(EXIT_USAGE, "error: --format csv applies to enumerate only\n")
     if getattr(args, "n_single", None) is not None:
         args.n_min = args.n_max = args.n_single
-    try:
+    with usage_errors(parser):
         return args.func(args)
-    except DepthIndeterminateError as exc:
-        parser.exit(EXIT_INDETERMINATE, f"indeterminate (cap): {exc}\n")
-    except ValueError as exc:
-        parser.exit(EXIT_USAGE, f"error: {exc}\n")
 
 
 if __name__ == "__main__":

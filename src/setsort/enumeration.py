@@ -162,9 +162,6 @@ def run_expansions(word: Sequence[int], length: int) -> Iterator[Word]:
 @dataclass(frozen=True, slots=True)
 class WitnessProfile:
     witness: Word
-    multiplicities: dict[int, int]
-    triple_letter: int | None
-    first_letter_mult: int
     family: str | None  # head-triple | tail-heavy | prefix-heavy; only at L = 2N+1
 
 
@@ -214,18 +211,8 @@ def classify_family(word: Sequence[int]) -> str | None:
 
 def profile_witness(word: Sequence[int], cell: CellSpec) -> WitnessProfile:
     word = tuple(word)
-    mult = dict(Counter(word))
-    triples = [a for a, m in mult.items() if m == 3]
-    family = None
-    if cell.length == 2 * cell.n_letters + 1:
-        family = classify_family(word)
-    return WitnessProfile(
-        witness=word,
-        multiplicities=mult,
-        triple_letter=triples[0] if len(triples) == 1 else None,
-        first_letter_mult=mult[word[0]],
-        family=family,
-    )
+    at_next_minimal = cell.length == 2 * cell.n_letters + 1
+    return WitnessProfile(word, classify_family(word) if at_next_minimal else None)
 
 
 def _search_shard(args: tuple[CellSpec, Word]) -> tuple[int, list[Word]]:
@@ -290,6 +277,8 @@ def witness_table(
     n_min: int, n_max: int, l_offset_max: int = 1, jobs: int = 1
 ) -> list[tuple[int, int, int, int]]:
     """(N, L, total_classes, witness_count) rows for N in [n_min, n_max], L in [N, 2N + offset]."""
+    if n_min > n_max:
+        raise ValueError(f"empty N-range: {n_min}..{n_max}")
     rows = []
     for n in range(n_min, n_max + 1):
         for length in range(n, 2 * n + l_offset_max + 1):

@@ -234,7 +234,7 @@ def check_family_counts(n: int, cells: Cells = find_witnesses) -> CheckResult:
                 expected="a family tag", actual="unclassifiable",
             )
         tallies[prof.family] += 1
-        if prof.first_letter_mult == 2:
+        if p.count(p[0]) == 2:
             cut = p.index(p[0], 1)  # the head's second occurrence
             left = mcount(p[:cut + 1])
             right = mcount(p[cut:])
@@ -348,10 +348,12 @@ class SuiteRun:
 
     def run(self, names: Iterable[str]) -> Iterator[CheckResult]:
         """The named checks' results as each is found, in order, consecutive
-        per-N checks N by N; failures never abort.  A bad N-range raises
-        before any check runs."""
+        per-N checks N by N; failures never abort.  A bad N-range or a
+        negative cap raises before any check runs."""
         if self.n_min > self.n_max:
             raise ValueError(f"empty N-range: {self.n_min}..{self.n_max}")
+        if self.cap is not None and self.cap < 0:
+            raise ValueError(f"cap must be nonnegative, got {self.cap}")
         checks = {name: CHECKS[name] for name in names}
         for name, check in checks.items():
             if check.scope != "once" and self.n_min < WITNESS_MIN_N:

@@ -161,6 +161,14 @@ class TestEnumerate:
         payload = records[0]["payload"]
         assert payload["total_classes"] == 1 and payload["witness_count"] == 0
 
+    def test_witnesses_records_golden(self, capsys):
+        code, out = run(
+            capsys, "--format", "records", "--jobs", "1",
+            "enumerate", "--n", "3", "--length", "7", "--witnesses",
+        )
+        assert code == 0
+        assert out == (GOLDEN / "enumerate_n3_l7.records").read_text()
+
     def test_csv(self, capsys):
         code, out = run(
             capsys, "--format", "csv", "--jobs", "1",
@@ -221,6 +229,7 @@ class TestVerify:
         ["verify", "theorem-minimal", "--n-min", "2"],
         ["verify", "family-counts", "--n", "1"],
         ["verify", "lockstep", "--n", "1"],
+        ["verify", "all", "--n", "3", "--corpus-len", "4", "--bound-len", "4", "--cap", "-1"],
     ])
     def test_vacuous_scope_is_usage_error(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
@@ -242,6 +251,14 @@ class TestVerify:
         )
         assert code == 0
         assert out == (GOLDEN / "verify_all_n3.records").read_text()
+
+    def test_all_human_golden(self, capsys):
+        code, out = run(
+            capsys, "--jobs", "1", "verify", "all",
+            "--n", "3", "--corpus-len", "6", "--bound-len", "7",
+        )
+        assert code == 0
+        assert out == (GOLDEN / "verify_all_n3.txt").read_text()
 
     def test_probe_indeterminate_exit(self, capsys):
         with pytest.raises(SystemExit) as exc:

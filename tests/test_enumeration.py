@@ -1,4 +1,5 @@
 import concurrent.futures
+import json
 import os
 from collections import Counter
 from itertools import product
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from setsort.cli import main
 from setsort.enumeration import (
     CellSpec,
     canonical_partitions,
@@ -119,14 +121,18 @@ class TestWitnessSearch:
         witnesses = [w.witness for w in find_witnesses(CellSpec(3, 7)).witnesses]
         assert witnesses == sorted(set(witnesses))
 
-    def test_profiles(self):
-        report = find_witnesses(CellSpec(3, 7))
-        for prof in report.witnesses:
-            assert sorted(prof.multiplicities.values()) == [2, 2, 3]
-            assert prof.multiplicities[prof.triple_letter] == 3
-            assert prof.family in {"head-triple", "tail-heavy", "prefix-heavy"}
-        head = [w for w in report.witnesses if w.family == "head-triple"]
-        assert all(w.first_letter_mult == 3 for w in head)
+    def test_profiles(self, capsys):
+        # The profile fields are derived where they are printed: in the records.
+        main(["--format", "records", "--jobs", "1",
+              "enumerate", "--n", "3", "--length", "7", "--witnesses"])
+        profiles = json.loads(capsys.readouterr().out)["payload"]["witnesses"]
+        assert len(profiles) == 12
+        for prof in profiles:
+            assert sorted(prof["multiplicities"].values()) == [2, 2, 3]
+            assert prof["multiplicities"][prof["triple_letter"]] == 3
+            assert prof["family"] in {"head-triple", "tail-heavy", "prefix-heavy"}
+        head = [prof for prof in profiles if prof["family"] == "head-triple"]
+        assert head and all(prof["first_letter_mult"] == 3 for prof in head)
 
     def test_no_family_tag_at_minimal_length(self):
         report = find_witnesses(CellSpec(3, 6))

@@ -36,3 +36,16 @@ def test_script_output(monkeypatch, capsys, name, argv, want):
     monkeypatch.setattr(sys, "argv", [name, *argv])
     runpy.run_path(str(SCRIPTS / name), run_name="__main__")
     assert capsys.readouterr().out.splitlines() == want
+
+
+@pytest.mark.parametrize("name,argv,message", [
+    ("witness_sweep.py", ["--jobs", "0"], "error: jobs must be at least 1, got 0\n"),
+    ("witness_sweep.py", ["--n-min", "5", "--n-max", "3"], "error: empty N-range: 5..3\n"),
+    ("depth_histogram.py", ["--max-len", "0"], "error: empty corpus: lengths 1..0\n"),
+])
+def test_script_usage_error(monkeypatch, capsys, name, argv, message):
+    monkeypatch.setattr(sys, "argv", [name, *argv])
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_path(str(SCRIPTS / name), run_name="__main__")
+    assert exc.value.code == 2
+    assert capsys.readouterr() == ("", message)
