@@ -127,13 +127,7 @@ def run_free_classes(
     yield from rec(max(word, default=0), counts.count(1))
 
 
-def run_free_upto(max_len: int) -> Iterator[Word]:
-    """Run-free RGS words (no two equal neighbours) of lengths 1..max_len,
-    shortest first, then in lexicographic order.
-
-    These are the truncations of all RGS words of length at most
-    ``max_len``; there are B(l-1) of length l (Bell numbers).
-    """
+def _rgs_upto(max_len: int, run_free: bool) -> Iterator[Word]:
     if max_len < 1:
         raise ValueError(f"empty corpus: lengths 1..{max_len}")
     word: list[int] = []
@@ -142,7 +136,7 @@ def run_free_upto(max_len: int) -> Iterator[Word]:
         if len(word) == length:
             yield tuple(word)
             return
-        last = word[-1] if word else 0
+        last = word[-1] if run_free and word else 0
         for v in range(1, mx + 2):
             if v != last:
                 word.append(v)
@@ -150,6 +144,17 @@ def run_free_upto(max_len: int) -> Iterator[Word]:
                 word.pop()
 
     return (w for length in range(1, max_len + 1) for w in rec(length, 0))
+
+
+def all_canonical_upto(max_len: int) -> Iterator[Word]:
+    """Every RGS word of lengths 1..max_len, shortest first, then in lexicographic order."""
+    return _rgs_upto(max_len, run_free=False)
+
+
+def run_free_upto(max_len: int) -> Iterator[Word]:
+    """The run-free words (no two equal neighbours) of ``all_canonical_upto``, in its
+    order: the truncations of all its words, B(l-1) of length l (Bell numbers)."""
+    return _rgs_upto(max_len, run_free=True)
 
 
 def run_expansions(word: Sequence[int], length: int) -> Iterator[Word]:
@@ -279,6 +284,8 @@ def witness_table(
     """(N, L, total_classes, witness_count) rows for N in [n_min, n_max], L in [N, 2N + offset]."""
     if n_min > n_max:
         raise ValueError(f"empty N-range: {n_min}..{n_max}")
+    if 2 * n_min + l_offset_max < n_min:
+        raise ValueError(f"empty L-range at N={n_min}: {n_min}..{2 * n_min + l_offset_max}")
     rows = []
     for n in range(n_min, n_max + 1):
         for length in range(n, 2 * n + l_offset_max + 1):

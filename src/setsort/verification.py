@@ -2,8 +2,9 @@
 clump growth, truncation commutation, and the two witness theorems.
 
 Every check scans an exhaustively enumerated corpus (never a random
-sample) and reports a CheckResult; a failure carries the lexicographically
-first counterexample so it can be replayed through the machine module.
+sample) and reports a CheckResult; a failure carries the shortest, then
+lexicographically first, counterexample so it can be replayed through the
+machine module.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 from .enumeration import (
     CellSpec,
     WitnessReport,
-    canonical_partitions,
+    all_canonical_upto,
     find_witnesses,
     is_witness,
     run_free_upto,
@@ -66,17 +67,6 @@ class CheckResult:
         return line
 
 
-def all_canonical_upto(max_len: int) -> Iterator[Word]:
-    if max_len < 1:
-        raise ValueError(f"empty corpus: lengths 1..{max_len}")
-    return (
-        w
-        for length in range(1, max_len + 1)
-        for n in range(1, length + 1)
-        for w in canonical_partitions(CellSpec(n, length))
-    )
-
-
 def first_failure(
     name: str, scope: str, corpus: Iterable[Word], fails: Callable[[Word], Failure], detail: str = ""
 ) -> CheckResult:
@@ -106,16 +96,18 @@ def check_lemma_decomposition(max_len: int = 8) -> CheckResult:
 
 
 def check_clump_growth(max_len: int = 8) -> CheckResult:
-    """An unsorted word strictly gains clumped letters in one aba pass."""
+    """An unsorted word strictly gains clumped letters in one aba pass.  Only
+    run-free words are tested, as in ``check_upper_bound``: a word's clumped
+    letters are the letters that occur once in its truncation."""
 
     def fails(p: Word) -> Failure:
         before = clumped_count(p)
         after = clumped_count(apply_phi_aba(p))
         return None if after > before else (f"> {before}", str(after))
 
-    scope = f"unsorted canonical words, length <= {max_len}"
-    unsorted = (p for p in all_canonical_upto(max_len) if not is_sorted(p))
-    return first_failure("clump-growth", scope, unsorted, fails)
+    scope = f"unsorted run-free canonical words, length <= {max_len} (all words by trunc-commute)"
+    unsorted = (p for p in run_free_upto(max_len) if not is_sorted(p))
+    return first_failure("clump-growth", scope, unsorted, fails, detail="{count} run-free tested")
 
 
 def check_trunc_commute(max_len: int = 8) -> CheckResult:

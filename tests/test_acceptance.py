@@ -9,7 +9,7 @@ import time
 from collections import Counter
 from math import comb
 
-from setsort.enumeration import CellSpec, find_witnesses, stirling2
+from setsort.enumeration import CellSpec, all_canonical_upto, find_witnesses, stirling2
 from setsort.machine import (
     ABA,
     Pattern,
@@ -19,7 +19,6 @@ from setsort.machine import (
     trace,
 )
 from setsort.verification import (
-    all_canonical_upto,
     check_clump_growth,
     check_cor_lockstep,
     check_family_counts,

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from setsort.cli import main
 from setsort.enumeration import (
     CellSpec,
+    all_canonical_upto,
     canonical_partitions,
     cell_prefixes,
     find_witnesses,
@@ -22,7 +23,6 @@ from setsort.enumeration import (
     stirling2,
     witness_table,
 )
-from setsort.verification import all_canonical_upto
 from setsort.words import canonicalize, format_word, n_distinct, truncate
 
 
@@ -42,6 +42,17 @@ def brute_cell(n, length):
         w
         for w in product(range(1, n + 1), repeat=length)
         if canonicalize(w) == w and n_distinct(w) == n
+    ]
+
+
+def cells_upto(max_len):
+    """The oracle corpus: every cell of length 1..max_len, shortest first,
+    each cell from canonical_partitions."""
+    return [
+        w
+        for length in range(1, max_len + 1)
+        for n in range(1, length + 1)
+        for w in canonical_partitions(CellSpec(n, length))
     ]
 
 
@@ -188,10 +199,18 @@ class TestQuotient:
         assert list(run_free_classes(CellSpec(n, length))) == want
 
     @pytest.mark.parametrize("max_len", range(1, 9))
+    def test_all_canonical_upto_is_every_rgs_word(self, max_len):
+        stream = list(all_canonical_upto(max_len))
+        assert len(stream) == sum(
+            stirling2(l, n) for l in range(1, max_len + 1) for n in range(1, l + 1)
+        )
+        assert stream == sorted(cells_upto(max_len), key=lambda w: (len(w), w))
+
+    @pytest.mark.parametrize("max_len", range(1, 9))
     def test_run_free_upto_is_truncation_quotient(self, max_len):
         stream = list(run_free_upto(max_len))
         assert len(set(stream)) == len(stream)
-        assert set(stream) == {truncate(p) for p in all_canonical_upto(max_len)}
+        assert set(stream) == {truncate(p) for p in cells_upto(max_len)}
         assert stream == sorted(stream, key=lambda w: (len(w), w))
         per_length = Counter(len(w) for w in stream)
         assert [per_length[l] for l in range(1, max_len + 1)] == bell_numbers(max_len)
@@ -222,3 +241,9 @@ class TestWitnessTable:
         assert (3, 7, 301, 12) in rows
         lengths = [r[1] for r in rows]
         assert lengths == list(range(3, 8))
+
+    def test_empty_length_range_rejected(self):
+        # L in [3, 2*3 - 4] is empty at N = 3, though not at N = 4.
+        with pytest.raises(ValueError, match="empty L-range at N=3: 3..2"):
+            witness_table(3, 4, l_offset_max=-4)
+        assert witness_table(3, 3, l_offset_max=-3) == [(3, 3, 1, 0)]

@@ -9,6 +9,7 @@ import pytest
 import setsort
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def test_star_import_resolves_all():
@@ -31,6 +32,14 @@ def test_star_import_resolves_all():
         "3,5,25,0",
         "3,6,90,1",
     ]),
+    ("depth_histogram.py", ["--max-len", "8"], [
+        "5295 canonical words, length <= 8",
+        "depth 0: 255",
+        "depth 1: 3106",
+        "depth 2: 1687",
+        "depth 3: 246",
+        "depth 4: 1",
+    ]),
 ])
 def test_script_output(monkeypatch, capsys, name, argv, want):
     monkeypatch.setattr(sys, "argv", [name, *argv])
@@ -38,10 +47,18 @@ def test_script_output(monkeypatch, capsys, name, argv, want):
     assert capsys.readouterr().out.splitlines() == want
 
 
+def test_depth_histogram_golden(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["depth_histogram.py", "--max-len", "10"])
+    runpy.run_path(str(SCRIPTS / "depth_histogram.py"), run_name="__main__")
+    assert capsys.readouterr().out == (GOLDEN / "depth_histogram_10.txt").read_text()
+
+
 @pytest.mark.parametrize("name,argv,message", [
     ("witness_sweep.py", ["--jobs", "0"], "error: jobs must be at least 1, got 0\n"),
     ("witness_sweep.py", ["--n-min", "5", "--n-max", "3"], "error: empty N-range: 5..3\n"),
     ("depth_histogram.py", ["--max-len", "0"], "error: empty corpus: lengths 1..0\n"),
+    ("witness_sweep.py", ["--n-min", "3", "--n-max", "3", "--offset", "-4", "--jobs", "1"],
+     "error: empty L-range at N=3: 3..2\n"),
 ])
 def test_script_usage_error(monkeypatch, capsys, name, argv, message):
     monkeypatch.setattr(sys, "argv", [name, *argv])

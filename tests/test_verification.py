@@ -3,12 +3,17 @@ from math import comb
 import pytest
 
 from setsort import verification
-from setsort.enumeration import CellSpec, find_witnesses, is_witness
-from setsort.machine import Pattern
+from setsort.enumeration import (
+    CellSpec,
+    all_canonical_upto,
+    canonical_partitions,
+    find_witnesses,
+    is_witness,
+)
+from setsort.machine import Pattern, apply_phi_aba
 from setsort.verification import (
     CHECKS,
     CheckResult,
-    all_canonical_upto,
     check_clump_growth,
     check_cor_lockstep,
     check_family_counts,
@@ -22,7 +27,7 @@ from setsort.verification import (
     probe_sigma,
     run_suite,
 )
-from setsort.words import is_sorted, n_distinct, parse
+from setsort.words import clumped_count, is_sorted, n_distinct, parse
 
 
 class TestCheckResultContract:
@@ -44,7 +49,22 @@ class TestCorpusChecks:
         assert check_lemma_decomposition(6).passed
 
     def test_clump_growth(self):
-        assert check_clump_growth(6).passed
+        result = check_clump_growth(6)
+        assert result.passed
+        assert result.scope == (
+            "unsorted run-free canonical words, length <= 6 (all words by trunc-commute)"
+        )
+        # The run-free words B(0) + ... + B(5), less the sorted ones: a, ab, abc, ...
+        assert result.detail == f"{1 + 1 + 2 + 5 + 15 + 52 - 6} run-free tested"
+
+    def test_clump_growth_equals_full_corpus_scan(self):
+        # The oracle: every unsorted canonical word, cell by cell.
+        for length in range(1, 9):
+            for n in range(1, length + 1):
+                for p in canonical_partitions(CellSpec(n, length)):
+                    if not is_sorted(p):
+                        assert clumped_count(apply_phi_aba(p)) > clumped_count(p), p
+        assert check_clump_growth(8).passed
 
     def test_trunc_commute(self):
         assert check_trunc_commute(6).passed
