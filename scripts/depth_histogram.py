@@ -18,7 +18,7 @@ from math import comb
 
 from setsort.cli import usage_errors
 from setsort.enumeration import run_free_upto
-from setsort.machine import sorting_depth
+from setsort.machine import aba_depth
 
 
 def main():
@@ -29,7 +29,7 @@ def main():
     hist = Counter()
     with usage_errors(parser):
         for w in run_free_upto(args.max_len):
-            hist[sorting_depth(w).depth] += comb(args.max_len, len(w))
+            hist[aba_depth(w)] += comb(args.max_len, len(w))
     total = sum(hist.values())
     print(f"{total} canonical words, length <= {args.max_len}")
     for depth in sorted(hist):

@@ -8,7 +8,8 @@ of length 2N..L whose letters all repeat go through the aba machine, and
 the witnesses among them are expanded back to length L.  The
 total_classes column is still S(L, N).  This makes --n-max 6 feasible: the
 largest cell, N=6 with L=13, holds S(13,6) = 9,321,312 classes but takes
-about a second.
+1.3-2.2 s with --jobs 1 and 0.9-1.3 s with --jobs 2 (2 vCPU Xeon,
+CPython 3.11).
 
 Usage: python scripts/witness_sweep.py [--n-min 3] [--n-max 6] [--offset 1] [--jobs 2]
 """

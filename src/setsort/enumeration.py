@@ -24,8 +24,8 @@ from functools import lru_cache
 from itertools import combinations
 from typing import Iterator, Sequence
 
-from .machine import apply_phi_aba
-from .words import Word, is_sorted
+from .machine import aba_depth
+from .words import Word
 
 SHARD_TARGET = 8  # run-free prefixes per worker process that jobs > 1 aims for
 
@@ -178,13 +178,9 @@ class WitnessReport:
 
 
 def is_witness(word: Sequence[int], n_letters: int) -> bool:
-    """Not sorted after N - 1 aba passes (early exit as soon as sorted)."""
-    w = tuple(word)
-    for _ in range(n_letters - 1):
-        if is_sorted(w):
-            return False
-        w = apply_phi_aba(w)
-    return not is_sorted(w)
+    """Not sorted after N - 1 aba passes, for N = ``n_letters``; exact for
+    N <= N(word) + 1, the range ``aba_depth`` counts."""
+    return aba_depth(word) >= n_letters
 
 
 def classify_family(word: Sequence[int]) -> str | None:

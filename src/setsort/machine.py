@@ -124,23 +124,40 @@ def apply_phi_aba(p: Sequence[int]) -> Word:
 
     An aba-avoiding stack is a sequence of single-letter runs, so a push is
     legal iff the letter is absent from the stack or already tops it; when
-    illegal, popping is forced until one of the two holds.  Stack counts
-    are a list indexed by letter, or a dict when the letter ids are too
-    sparse for a list.
+    illegal, popping is forced until the letter tops the stack.  A popped
+    letter whose run ends there leaves the stack's letter set.
     """
     out: list[int] = []
     stack: list[int] = []
-    top = max(p, default=0)
-    counts = [0] * (top + 1) if top <= 4 * len(p) else dict.fromkeys(p, 0)
+    on_stack: set[int] = set()
     for x in p:
-        while stack and stack[-1] != x and counts[x]:
-            y = stack.pop()
-            out.append(y)
-            counts[y] -= 1
+        if x in on_stack:
+            while stack[-1] != x:
+                y = stack.pop()
+                out.append(y)
+                if stack[-1] != y:
+                    on_stack.discard(y)
+        else:
+            on_stack.add(x)
         stack.append(x)
-        counts[x] += 1
     out.extend(reversed(stack))
     return tuple(out)
+
+
+def aba_depth(p: Sequence[int]) -> int:
+    """Least t with the t-th aba iterate of p sorted, or N(p) + 1 if N(p)
+    passes leave p unsorted, as only a broken pass can.
+
+    A sorted word stays sorted under an aba pass, since every push is legal
+    and the pass only reverses its blocks; so depth >= k iff the (k - 1)-th
+    iterate is unsorted, and the count stops at the first sorted iterate.
+    """
+    n = n_distinct(p)
+    for t in range(n + 1):
+        if is_sorted(p):
+            return t
+        p = apply_phi_aba(p)
+    return n + 1
 
 
 def iterate(p: Sequence[int], sigma: Pattern, k: int) -> Word:
@@ -181,9 +198,7 @@ def sorting_depth(
     finite and a class seen twice means the word never sorts.
     """
     if cap is None:
-        # N(p) passes always suffice for aba; elsewhere fail fast with a
-        # distinct indeterminate signal rather than loop.
-        cap = n_distinct(p) if sigma.is_aba else 4 * len(p)
+        cap = 4 * len(p)
     if cap < 0:
         raise ValueError(f"cap must be nonnegative, got {cap}")
     w = tuple(p)

@@ -20,11 +20,10 @@ from .enumeration import (
     WitnessReport,
     all_canonical_upto,
     find_witnesses,
-    is_witness,
     run_free_upto,
     stirling2,
 )
-from .machine import Pattern, apply_phi_aba, sorting_depth
+from .machine import Pattern, aba_depth, apply_phi_aba, sorting_depth
 from .words import (
     Word,
     clumped_count,
@@ -141,12 +140,9 @@ def check_cor_lockstep(witnesses: Sequence[Sequence[int]]) -> CheckResult:
 def check_upper_bound(max_len: int = 9) -> CheckResult:
     """Every word is sorted after N passes, N its distinct-letter count.
 
-    That is, no word is a witness for N + 1 letters.  By trunc-commute a
-    word is sorted after k passes iff its truncation is, so only the
-    run-free words are tested; the detail names the classes they cover.
-    ``is_witness`` stops at the first sorted iterate, which is exact: a
-    sorted word stays sorted under an aba pass, since every push is legal
-    and the pass only reverses its blocks.
+    By trunc-commute a word is sorted after k passes iff its truncation
+    is, so only the run-free words are tested; the detail names the
+    classes they cover.
     """
     scope = f"run-free canonical words, length <= {max_len} (all words by trunc-commute)"
     covered = sum(
@@ -154,32 +150,32 @@ def check_upper_bound(max_len: int = 9) -> CheckResult:
     )
     return first_failure(
         "upper-bound", scope, run_free_upto(max_len),
-        lambda p: ("sorted", "unsorted") if is_witness(p, n_distinct(p) + 1) else None,
+        lambda p: ("sorted", "unsorted") if aba_depth(p) > n_distinct(p) else None,
         detail=f"{covered} classes, {{count}} run-free tested",
     )
 
 
 def check_theorem_minimal(n: int, cells: Cells = find_witnesses) -> CheckResult:
-    """The only witness of length <= 2N is (1 2 ... N)^2; shorter cells are empty."""
+    """The only witness of length <= 2N is (1 2 ... N)^2; shorter cells are
+    empty, as their run-free truncations show by trunc-commute."""
     scope = f"N={n}, L in [{n}, {2 * n}]"
+    shorter = (p for p in run_free_upto(2 * n - 1) if n_distinct(p) == n)
+    result = first_failure(
+        "theorem-minimal", scope, shorter,
+        lambda p: ("no witness", f"witness at L={len(p)}") if aba_depth(p) >= n else None,
+    )
+    if not result.passed:
+        return result
     expected_word = tuple(range(1, n + 1)) * 2
-    for length in range(n, 2 * n + 1):
-        report = cells(CellSpec(n, length))
-        found = [w.witness for w in report.witnesses]
-        if length < 2 * n:
-            if found:
-                return CheckResult(
-                    "theorem-minimal", scope, False, found[0],
-                    expected="no witness", actual=f"witness at L={length}",
-                )
-        elif found != [expected_word]:
-            bad = found[0] if found else expected_word
-            return CheckResult(
-                "theorem-minimal", scope, False, bad,
-                expected=format_word(expected_word),
-                actual=" ".join(format_word(w) for w in found) or "none",
-            )
-    return CheckResult("theorem-minimal", scope, True)
+    found = [w.witness for w in cells(CellSpec(n, 2 * n)).witnesses]
+    if found != [expected_word]:
+        bad = found[0] if found else expected_word
+        return CheckResult(
+            "theorem-minimal", scope, False, bad,
+            expected=format_word(expected_word),
+            actual=" ".join(format_word(w) for w in found) or "none",
+        )
+    return result
 
 
 def expected_next_minimal_count(n: int) -> int:

@@ -5,12 +5,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from setsort import machine
 from setsort.enumeration import CellSpec, canonical_partitions
 from setsort.machine import (
     ABA,
     DepthIndeterminateError,
     DepthResult,
     Pattern,
+    aba_depth,
     apply_phi,
     apply_phi_aba,
     apply_phi_generic,
@@ -19,10 +21,12 @@ from setsort.machine import (
     sorting_depth,
     trace,
 )
+from setsort.verification import check_upper_bound
 from setsort.words import canonicalize, format_word, is_sorted, parse
 
 aba = Pattern(ABA)
 small_words = st.lists(st.integers(1, 5), max_size=10).map(tuple)
+sparse_words = st.lists(st.sampled_from([1, 7, 10**6, 10**12]), max_size=10).map(tuple)
 
 
 def contains_pattern(word, sigma):
@@ -114,8 +118,12 @@ class TestSinglePass:
     def test_fast_path_equals_generic_random(self, w):
         assert apply_phi_aba(w) == apply_phi_generic(w, aba)
 
+    @given(sparse_words)
+    def test_fast_path_equals_generic_sparse(self, w):
+        assert apply_phi_aba(w) == apply_phi_generic(w, aba)
+
     def test_sparse_letter_ids(self):
-        # Letter ids far above the word length take the dict-counted route.
+        # Letter ids far above the word length take the same route as dense ones.
         w = (10**12, 7, 10**12, 7, 3)
         assert apply_phi_aba(w) == apply_phi_generic(w, aba)
 
@@ -197,8 +205,26 @@ class TestSortingDepth:
         with pytest.raises(ValueError):
             sorting_depth(parse("abab"), aba, cap=-1)
 
-    def test_aba_cap_defaults_to_letter_count(self):
+    def test_every_word_sorts_within_letter_count_passes(self):
         # Every word sorts within N passes, so the default cap never trips.
         for w in small_corpus(6):
             result = sorting_depth(w, aba)
             assert result.sorts and result.depth <= len(set(w))
+
+
+class TestAbaDepth:
+    def test_equals_first_sorted_generic_iterate(self):
+        # The oracle: walk the subsequence-checked pass until the word sorts.
+        for w in small_corpus(8):
+            n = len(set(w))
+            t, x = 0, w
+            while not is_sorted(x) and t <= n:
+                x, t = apply_phi_generic(x, aba), t + 1
+            assert aba_depth(w) == t <= n, format_word(w)
+
+    def test_broken_pass_gives_counterexample(self, monkeypatch):
+        # A pass that never sorts: the depth stops at N + 1 instead of hanging.
+        monkeypatch.setattr(machine, "apply_phi_aba", tuple)
+        assert aba_depth(parse("abab")) == 3
+        result = check_upper_bound(4)
+        assert not result.passed and result.counterexample == parse("aba")

@@ -114,9 +114,9 @@ def _rotate(w):
     return tuple(w[1:]) + tuple(w[:1])
 
 
-def _unsorted_is_witness(w, n_letters):
-    # A witness test that makes no pass.
-    return not is_sorted(w)
+def _depth_without_passes(w):
+    # A depth count that makes no pass: every unsorted word counts as unsortable.
+    return 0 if is_sorted(w) else n_distinct(w) + 1
 
 
 def _shifted_cells(cell):
@@ -129,13 +129,14 @@ class TestFailurePaths:
         (lambda: check_lemma_decomposition(4), "apply_phi_aba", _identity, "ab"),
         (lambda: check_clump_growth(4), "apply_phi_aba", _identity, "aba"),
         (lambda: check_trunc_commute(4), "apply_phi_aba", _rotate, "aab"),
-        (lambda: check_upper_bound(4), "is_witness", _unsorted_is_witness, "aba"),
+        (lambda: check_upper_bound(4), "aba_depth", _depth_without_passes, "aba"),
+        (lambda: check_theorem_minimal(3), "aba_depth", _depth_without_passes, "abac"),
         (lambda: check_cor_lockstep([parse("abcabc"), parse("abcdabcd")]),
          "apply_phi_aba", _identity, "abcabc"),
         (lambda: check_multiplicity_profile(3, _shifted_cells), None, None, "abcabc"),
     ], ids=[
         "lemma-decomposition", "clump-growth", "trunc-commute", "upper-bound",
-        "lockstep", "multiplicity-profile",
+        "theorem-minimal", "lockstep", "multiplicity-profile",
     ])
     def test_first_counterexample(self, monkeypatch, run, name, broken, counterexample):
         if name is not None:
@@ -217,9 +218,8 @@ class TestSuite:
             return scan(cell)
 
         monkeypatch.setattr(verification, "find_witnesses", recording)
-        cells = {CellSpec(3, length) for length in range(3, 8)}
-        cells |= {CellSpec(4, length) for length in range(4, 10)}
-        assert len(cells) == 11
+        cells = {CellSpec(n, length) for n in (3, 4) for length in (2 * n, 2 * n + 1)}
+        assert len(cells) == 4
         for jobs in (1, 2):  # the second run scans again, with its own jobs
             calls.clear()
             run_suite(n_min=3, n_max=4, corpus_len=4, bound_len=4, jobs=jobs)
