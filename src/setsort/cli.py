@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import os
 import sys
@@ -200,13 +201,22 @@ def cmd_verify(args) -> int:
 
 
 def _positive_int(text: str) -> int:
-    value = int(text)
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be an integer, got {text!r}") from None
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
     return value
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built on first use.
+
+    Parsing leaves it unchanged: each call fills a fresh Namespace, and
+    ``main`` edits only that.
+    """
     parser = argparse.ArgumentParser(
         prog="setsort",
         description="Pattern-avoiding stack sorting of set partitions.",

@@ -9,7 +9,6 @@ output otherwise.  The aba pattern has a dedicated fast path.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Sequence
 
 from .words import (
@@ -72,16 +71,47 @@ def push_is_legal(stack: Sequence[int], x: int, sigma: Pattern) -> bool:
     """Whether x may be pushed on a stack (given bottom to top) that avoids sigma.
 
     The stack with x on top is read top to bottom; only subsequences
-    through x need checking because the rest avoid sigma already.
+    through x need checking because the rest avoid sigma already.  They are
+    found by extending an injective map from pattern letters to stack
+    letters, with the first pattern letter fixed to x.  Once a letter is
+    chosen its earliest remaining position serves every completion, so the
+    search branches only over which unused letter a new pattern letter takes.
     """
-    k = len(sigma.word)
-    rest = tuple(reversed(stack))
-    if len(rest) < k - 1:
-        return True
     target = sigma.word
-    return not any(
-        canonicalize((x,) + sub) == target for sub in combinations(rest, k - 1)
-    )
+    k = len(target)
+    if len(set(stack).union((x,))) < max(target):
+        return True
+    rest = stack[::-1]
+    n = len(rest)
+    image: list[int | None] = [None, x] + [None] * (k - 1)  # pattern -> stack letter
+    used = {x}
+
+    def embeds(j: int, start: int) -> bool:
+        if j == k:
+            return True
+        a = target[j]
+        stop = n - k + j + 1  # leave room for the k - j - 1 letters after j
+        c = image[a]
+        if c is not None:
+            for i in range(start, stop):
+                if rest[i] == c:
+                    return embeds(j + 1, i + 1)
+            return False
+        tried = set()
+        for i in range(start, stop):
+            c = rest[i]
+            if c in used or c in tried:
+                continue
+            tried.add(c)
+            image[a] = c
+            used.add(c)
+            if embeds(j + 1, i + 1):
+                return True
+            used.discard(c)
+        image[a] = None
+        return False
+
+    return not embeds(1, 0)
 
 
 def _pass_generic(p: Sequence[int], sigma: Pattern, events: list | None) -> Word:

@@ -186,6 +186,18 @@ class TestJobs:
             main(["--jobs", jobs, "stats", "ab"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("argv,message", [
+        (["--jobs", "abc", "stats", "ab"], "argument --jobs: must be an integer, got 'abc'"),
+        (["verify", "upper-bound", "--bound-len", "x"],
+         "argument --bound-len: must be an integer, got 'x'"),
+    ])
+    def test_non_integer_is_usage_error(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert message in err and "_positive_int" not in err
+
     def test_clamped_to_cpu_count(self, capsys, monkeypatch):
         # The search clamps jobs, so with one CPU no pool may start.
         def no_pool(*args, **kwargs):
@@ -196,6 +208,26 @@ class TestJobs:
         code, records = run_records(
             capsys, "--jobs", "100000", "enumerate", "--n", "3", "--length", "7")
         assert code == 0 and records[0]["payload"]["witness_count"] == 12
+
+
+class TestSharedParser:
+    def test_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_flag_does_not_carry_over(self, capsys):
+        assert run(capsys, "depth", "abab", "--sigma", "ab", "--strict")[0] == 1
+        assert run(capsys, "depth", "abab", "--sigma", "ab") == (0, "never-sorts (cycle)\n")
+
+    def test_usage_error_leaves_parser_usable(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "bogus"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        code, records = run_records(capsys, "stats", "ab")
+        assert code == 0
+        assert records[0]["command"] == "stats"
+        assert records[0]["payload"]["word"] == "ab"
+        assert records[0]["payload"]["sorted"] is True
 
 
 class TestVerify:

@@ -1,8 +1,9 @@
+import time
 from collections import Counter
 from itertools import combinations
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from setsort import machine
@@ -27,6 +28,9 @@ from setsort.words import canonicalize, format_word, is_sorted, parse
 aba = Pattern(ABA)
 small_words = st.lists(st.integers(1, 5), max_size=10).map(tuple)
 sparse_words = st.lists(st.sampled_from([1, 7, 10**6, 10**12]), max_size=10).map(tuple)
+# 32-letter words for 9-letter patterns.  A matcher that tries every
+# 8-subsequence of the stack runs for over 20 s on (1..8)^4 under abcdefghi.
+LONG_WORDS = [tuple(range(1, 17)) * 2, tuple(range(1, 9)) * 4]
 
 
 def contains_pattern(word, sigma):
@@ -43,6 +47,30 @@ def small_corpus(max_len):
             continue
         for n in range(1, length + 1):
             yield from canonical_partitions(CellSpec(n, length))
+
+
+def canonical_patterns(min_len, max_len):
+    return [Pattern(w) for w in small_corpus(max_len) if len(w) >= min_len]
+
+
+def oracle_pass(p, sigma):
+    """The pass by definition: pop while stack-plus-candidate contains sigma."""
+    out, stack = [], []
+    for x in p:
+        while contains_pattern((x,) + tuple(reversed(stack)), sigma):
+            out.append(stack.pop())
+        stack.append(x)
+    return tuple(out + stack[::-1])
+
+
+def avoiding_stack(word, sigma):
+    """The letters of ``word`` pushed in order, skipping any that would make
+    the stack (read top to bottom) contain sigma."""
+    stack = []
+    for y in word:
+        if not contains_pattern((y,) + tuple(reversed(stack)), sigma):
+            stack.append(y)
+    return stack
 
 
 class TestPattern:
@@ -87,6 +115,43 @@ class TestPushLegality:
                     not contains_pattern(combined, aba)
                 )
 
+    @given(
+        st.sampled_from(canonical_patterns(2, 5)),
+        st.one_of(small_words, sparse_words).filter(len),
+    )
+    @settings(max_examples=400)
+    def test_matches_containment_every_short_pattern(self, sigma, w):
+        stack, x = avoiding_stack(w[:-1], sigma), w[-1]
+        combined = (x,) + tuple(reversed(stack))
+        assert push_is_legal(stack, x, sigma) == (not contains_pattern(combined, sigma))
+
+    @pytest.mark.parametrize("w", LONG_WORDS, ids=format_word)
+    @pytest.mark.parametrize("sigma", ["abcdefghi", "abcdefgha"])
+    def test_long_pattern_on_long_word_is_bounded(self, w, sigma):
+        t0 = time.perf_counter()
+        out = apply_phi_generic(w, Pattern(parse(sigma)))
+        assert time.perf_counter() - t0 < 1.0
+        assert Counter(out) == Counter(w)
+
+    @pytest.mark.parametrize("w", LONG_WORDS, ids=format_word)
+    def test_distinct_pattern_pass_closed_form(self, w):
+        # Under an all-distinct pattern of k letters a push is illegal iff the
+        # stack plus the candidate holds k distinct letters.
+        k = 9
+        out, stack = [], []
+        for x in w:
+            while len(set(stack) | {x}) >= k:
+                out.append(stack.pop())
+            stack.append(x)
+        assert apply_phi_generic(w, Pattern(tuple(range(1, k + 1)))) == tuple(
+            out + stack[::-1]
+        )
+
+    def test_too_few_letters_is_legal_at_once(self):
+        t0 = time.perf_counter()
+        assert push_is_legal(list(range(1, 9)) * 4, 1, Pattern(tuple(range(1, 10))))
+        assert time.perf_counter() - t0 < 1.0
+
 
 class TestSinglePass:
     def test_figure_example(self):
@@ -121,6 +186,13 @@ class TestSinglePass:
     @given(sparse_words)
     def test_fast_path_equals_generic_sparse(self, w):
         assert apply_phi_aba(w) == apply_phi_generic(w, aba)
+
+    @pytest.mark.parametrize("sigma", canonical_patterns(2, 4), ids=str)
+    def test_generic_equals_definition_exhaustively(self, sigma):
+        for w in small_corpus(7):
+            want = oracle_pass(w, sigma)
+            assert apply_phi_generic(w, sigma) == want, format_word(w)
+            assert trace(w, sigma).output == want, format_word(w)
 
     def test_sparse_letter_ids(self):
         # Letter ids far above the word length take the same route as dense ones.
