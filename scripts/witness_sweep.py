@@ -8,10 +8,10 @@ of length 2N..L whose letters all repeat go through the aba machine, and
 the witnesses among them are expanded back to length L.  The
 total_classes column is still S(L, N).  This makes --n-max 6 feasible: the
 largest cell, N=6 with L=13, holds S(13,6) = 9,321,312 classes but takes
-1.3-2.2 s with --jobs 1 and 0.9-1.3 s with --jobs 2 (2 vCPU Xeon,
-CPython 3.11).
+1.15-1.3 s (2 vCPU Xeon, CPython 3.11).  The search runs in one process;
+--jobs is accepted for compatibility and must be at least 1.
 
-Usage: python scripts/witness_sweep.py [--n-min 3] [--n-max 6] [--offset 1] [--jobs 2]
+Usage: python scripts/witness_sweep.py [--n-min 3] [--n-max 6] [--offset 1]
 """
 
 import argparse
@@ -28,11 +28,14 @@ def main():
     parser.add_argument("--n-max", type=int, default=5)
     parser.add_argument("--offset", type=int, default=1,
                         help="scan L up to 2N + offset")
-    parser.add_argument("--jobs", type=int, default=1)
+    parser.add_argument("--jobs", type=int, default=1,
+                        help="accepted for compatibility; the search runs in one process")
     args = parser.parse_args()
 
     with usage_errors(parser):
-        rows = witness_table(args.n_min, args.n_max, args.offset, jobs=args.jobs)
+        if args.jobs < 1:
+            raise ValueError(f"jobs must be at least 1, got {args.jobs}")
+        rows = witness_table(args.n_min, args.n_max, args.offset)
     writer = csv.writer(sys.stdout)
     writer.writerow(["n_letters", "length", "total_classes", "witness_count"])
     writer.writerows(rows)

@@ -16,7 +16,6 @@ import argparse
 import csv
 import functools
 import json
-import os
 import sys
 from collections import Counter
 from contextlib import contextmanager
@@ -157,7 +156,7 @@ def _profile_payload(prof: enumeration.WitnessProfile) -> dict:
 
 def cmd_enumerate(args) -> int:
     cell = enumeration.CellSpec(args.n, args.length)
-    report = enumeration.find_witnesses(cell, jobs=args.jobs)
+    report = enumeration.find_witnesses(cell)
     if args.format == "csv":
         writer = csv.writer(sys.stdout)
         writer.writerow(["n_letters", "length", "witness", "family"])
@@ -187,7 +186,7 @@ SUITE_NAMES = ["all", *verification.CHECKS]
 
 def cmd_verify(args) -> int:
     suite = verification.SuiteRun(
-        args.n_min, args.n_max, args.corpus_len, args.bound_len, args.jobs,
+        args.n_min, args.n_max, args.corpus_len, args.bound_len,
         sigma=_parse_sigma(args.sigma), cap=args.cap,
     )
     passed = True
@@ -226,8 +225,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="output encoding (csv applies to enumerate only)",
     )
     parser.add_argument(
-        "--jobs", type=_positive_int, default=os.cpu_count() or 1,
-        help="worker processes for enumeration and verification (clamped to the CPU count)",
+        "--jobs", type=_positive_int, default=1,
+        help="accepted for compatibility; every search runs in one process",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

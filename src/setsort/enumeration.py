@@ -11,12 +11,12 @@ on the truncation, so a word is a witness iff its run-free truncation is.
 Clump growth leaves a witness no clumped letter, so every letter of a
 run-free witness occurs at least twice.  The search therefore tests the
 run-free words of length 2N..L with every letter repeated, and expands
-each witness found into its run expansions of length L.
+each witness found into its run expansions of length L, all in one
+process.
 """
 
 from __future__ import annotations
 
-import os
 import time
 from collections import Counter
 from dataclasses import dataclass
@@ -26,8 +26,6 @@ from typing import Iterator, Sequence
 
 from .machine import aba_depth
 from .words import Word
-
-SHARD_TARGET = 8  # run-free prefixes per worker process that jobs > 1 aims for
 
 
 @dataclass(frozen=True)
@@ -87,28 +85,20 @@ def cell_prefixes(cell: CellSpec, depth: int) -> list[Word]:
     return prefixes
 
 
-def run_free_classes(
-    cell: CellSpec, prefix: Sequence[int] = (), depth: int | None = None
-) -> Iterator[Word]:
+def run_free_classes(cell: CellSpec) -> Iterator[Word]:
     """Run-free RGS words over exactly N letters, each letter at least twice,
-    of length at most L, extending ``prefix``, in lexicographic order.
+    of length at most L, in lexicographic order.
 
     These are the truncations of the cell's possible witnesses.  A prefix
     is pruned once its remaining slots cannot give every letter, new or
-    seen once, its second occurrence.  With ``depth`` (at most 2N) the
-    stream yields the viable prefixes of that length instead.
+    seen once, its second occurrence.
     """
     n, length = cell.n_letters, cell.length
-    word = list(prefix)
+    word: list[int] = []
     counts = [0] * (n + 1)
-    for x in word:
-        counts[x] += 1
 
     def rec(mx: int, once: int) -> Iterator[Word]:
         i = len(word)
-        if i == depth:
-            yield tuple(word)
-            return
         if mx == n and once == 0:
             yield tuple(word)
         last = word[-1] if word else 0
@@ -124,7 +114,7 @@ def run_free_classes(
                 word.pop()
                 counts[v] = c
 
-    yield from rec(max(word, default=0), counts.count(1))
+    yield from rec(0, 0)
 
 
 def _rgs_upto(max_len: int, run_free: bool) -> Iterator[Word]:
@@ -216,31 +206,21 @@ def profile_witness(word: Sequence[int], cell: CellSpec) -> WitnessProfile:
     return WitnessProfile(word, classify_family(word) if at_next_minimal else None)
 
 
-def _search_shard(args: tuple[CellSpec, Word]) -> tuple[int, list[Word]]:
-    """(run-free classes tested, the cell's witnesses) for one prefix of the quotient.
+def _search_shard(cell: CellSpec) -> tuple[int, list[Word]]:
+    """(run-free classes tested, the cell's witnesses in lexicographic order).
 
-    Each run-free witness is expanded to the cell's length here, so the
-    expansion runs in the worker processes.
+    Each run-free witness is expanded into its run expansions of the
+    cell's length.  ``bench/tracing.py`` wraps this function by name and
+    reads the class count, so both stay.
     """
-    cell, prefix = args
     total = 0
     found = []
     n = cell.n_letters
-    for word in run_free_classes(cell, prefix):
+    for word in run_free_classes(cell):
         total += 1
         if is_witness(word, n):
             found.extend(run_expansions(word, cell.length))
-    return total, found
-
-
-def _shard_prefixes(cell: CellSpec, jobs: int) -> list[Word]:
-    """The shortest run-free prefixes (depth <= 2N) giving SHARD_TARGET shards per job."""
-    prefixes: list[Word] = []
-    for depth in range(1, 2 * cell.n_letters + 1):
-        prefixes = list(run_free_classes(cell, depth=depth))
-        if len(prefixes) >= SHARD_TARGET * jobs:
-            break
-    return prefixes
+    return total, sorted(found)
 
 
 def find_witnesses(cell: CellSpec, jobs: int = 1) -> WitnessReport:
@@ -248,25 +228,13 @@ def find_witnesses(cell: CellSpec, jobs: int = 1) -> WitnessReport:
 
     The witness list is in lexicographic order and ``total_classes`` is
     S(L, N), the classes the cell covers, as a full-cell scan would give.
-    Parallel runs shard the run-free stream by prefix, with ``jobs``
-    clamped to the CPU count and to the shard count; the merged shard
-    results are sorted, so they equal the sequential search's.
+    The search runs in one process: ``jobs`` must be at least 1 and has no
+    other effect.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
-    jobs = min(jobs, os.cpu_count() or 1)
     start = time.perf_counter()
-    shards = [(cell, p) for p in _shard_prefixes(cell, jobs)] if jobs > 1 else []
-    jobs = min(jobs, len(shards))
-    if jobs > 1:
-        # Imported here: it adds ~20 ms to every start-up, and most runs start no pool.
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_search_shard, shards, chunksize=1))
-    else:
-        results = [_search_shard((cell, ()))]
-    found = sorted(w for _, shard_found in results for w in shard_found)
+    _, found = _search_shard(cell)
     return WitnessReport(
         total_classes=stirling2(cell.length, cell.n_letters),
         witnesses=tuple(profile_witness(w, cell) for w in found),
@@ -275,7 +243,7 @@ def find_witnesses(cell: CellSpec, jobs: int = 1) -> WitnessReport:
 
 
 def witness_table(
-    n_min: int, n_max: int, l_offset_max: int = 1, jobs: int = 1
+    n_min: int, n_max: int, l_offset_max: int = 1
 ) -> list[tuple[int, int, int, int]]:
     """(N, L, total_classes, witness_count) rows for N in [n_min, n_max], L in [N, 2N + offset]."""
     if n_min > n_max:
@@ -285,6 +253,6 @@ def witness_table(
     rows = []
     for n in range(n_min, n_max + 1):
         for length in range(n, 2 * n + l_offset_max + 1):
-            report = find_witnesses(CellSpec(n, length), jobs=jobs)
+            report = find_witnesses(CellSpec(n, length))
             rows.append((n, length, report.total_classes, len(report.witnesses)))
     return rows

@@ -76,10 +76,13 @@ def push_is_legal(stack: Sequence[int], x: int, sigma: Pattern) -> bool:
     letters, with the first pattern letter fixed to x.  Once a letter is
     chosen its earliest remaining position serves every completion, so the
     search branches only over which unused letter a new pattern letter takes.
+    No embedding exists when the stack holds fewer distinct letters than
+    sigma, or when sigma repeats its first letter and x is not on the stack.
     """
     target = sigma.word
     k = len(target)
-    if len(set(stack).union((x,))) < max(target):
+    letters = set(stack)
+    if len(letters.union((x,))) < max(target) or (x not in letters and target[0] in target[1:]):
         return True
     rest = stack[::-1]
     n = len(rest)

@@ -307,22 +307,21 @@ WITNESS_MIN_N = 3
 class SuiteRun:
     """The settings of one verify run, and the witness reports it has scanned.
 
-    Each cell is scanned once per run, with the run's ``jobs``; another run
-    scans afresh.  probe-sigma probes ``sigma`` over the corpus, capped at ``cap``.
+    Each cell is scanned once per run; another run scans afresh.
+    probe-sigma probes ``sigma`` over the corpus, capped at ``cap``.
     """
 
     n_min: int
     n_max: int
     corpus_len: int
     bound_len: int
-    jobs: int = 1
     sigma: Pattern = Pattern((1, 2))
     cap: int | None = None
     reports: dict[CellSpec, WitnessReport] = field(default_factory=dict, init=False, repr=False)
 
     def report(self, cell: CellSpec) -> WitnessReport:
         if cell not in self.reports:
-            self.reports[cell] = find_witnesses(cell, jobs=self.jobs)
+            self.reports[cell] = find_witnesses(cell)
         return self.reports[cell]
 
     def witnesses(self) -> list[Word]:
@@ -361,7 +360,6 @@ def run_suite(
     n_max: int = 4,
     corpus_len: int = 8,
     bound_len: int = 9,
-    jobs: int = 1,
 ) -> list[CheckResult]:
     """Every check of CHECKS, probe-sigma probing ab."""
-    return list(SuiteRun(n_min, n_max, corpus_len, bound_len, jobs).run(CHECKS))
+    return list(SuiteRun(n_min, n_max, corpus_len, bound_len).run(CHECKS))

@@ -1,7 +1,5 @@
 import argparse
-import concurrent.futures
 import json
-import os
 from pathlib import Path
 
 import pytest
@@ -197,17 +195,6 @@ class TestJobs:
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert message in err and "_positive_int" not in err
-
-    def test_clamped_to_cpu_count(self, capsys, monkeypatch):
-        # The search clamps jobs, so with one CPU no pool may start.
-        def no_pool(*args, **kwargs):
-            raise AssertionError("a process pool was started")
-
-        monkeypatch.setattr(os, "cpu_count", lambda: 1)
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
-        code, records = run_records(
-            capsys, "--jobs", "100000", "enumerate", "--n", "3", "--length", "7")
-        assert code == 0 and records[0]["payload"]["witness_count"] == 12
 
 
 class TestSharedParser:

@@ -31,6 +31,12 @@ sparse_words = st.lists(st.sampled_from([1, 7, 10**6, 10**12]), max_size=10).map
 # 32-letter words for 9-letter patterns.  A matcher that tries every
 # 8-subsequence of the stack runs for over 20 s on (1..8)^4 under abcdefghi.
 LONG_WORDS = [tuple(range(1, 17)) * 2, tuple(range(1, 9)) * 4]
+# The last two patterns repeat their first letter.  A matcher that does not
+# see at once that x, off the stack, cannot stand for it runs for seconds.
+LONG_CASES = [(sigma, w) for sigma in ("abcdefghi", "abcdefgha") for w in LONG_WORDS] + [
+    ("abcdefghija", tuple(range(1, 21)) * 2),
+    ("abcdefgha", tuple(range(1, 25)) * 2),
+]
 
 
 def contains_pattern(word, sigma):
@@ -125,9 +131,9 @@ class TestPushLegality:
         combined = (x,) + tuple(reversed(stack))
         assert push_is_legal(stack, x, sigma) == (not contains_pattern(combined, sigma))
 
-    @pytest.mark.parametrize("w", LONG_WORDS, ids=format_word)
-    @pytest.mark.parametrize("sigma", ["abcdefghi", "abcdefgha"])
-    def test_long_pattern_on_long_word_is_bounded(self, w, sigma):
+    @pytest.mark.parametrize("sigma,w", LONG_CASES,
+                             ids=lambda v: v if isinstance(v, str) else format_word(v))
+    def test_long_pattern_on_long_word_is_bounded(self, sigma, w):
         t0 = time.perf_counter()
         out = apply_phi_generic(w, Pattern(parse(sigma)))
         assert time.perf_counter() - t0 < 1.0

@@ -1,6 +1,9 @@
 """Smoke tests for the public API and the scripts under scripts/."""
 
+import json
+import os
 import runpy
+import subprocess
 import sys
 from pathlib import Path
 
@@ -8,7 +11,8 @@ import pytest
 
 import setsort
 
-SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+ROOT = Path(__file__).resolve().parent.parent
+SCRIPTS = ROOT / "scripts"
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
@@ -66,3 +70,24 @@ def test_script_usage_error(monkeypatch, capsys, name, argv, message):
         runpy.run_path(str(SCRIPTS / name), run_name="__main__")
     assert exc.value.code == 2
     assert capsys.readouterr() == ("", message)
+
+
+TRACED_CELLS = """
+import json, setsort, tracing, workloads
+tracer = tracing.install(setsort)
+work = workloads.CellWorkload([(3, 7), (4, 9)], jobs=2)
+work.execute()
+print(json.dumps({"check": work.check(), "classes": [c["classes"] for c in tracer.cells]}))
+"""
+
+
+def test_traced_cell_workload():
+    # The benchmark's tracer wraps setsort functions by name and reads their
+    # results; a traced run must still find every pinned witness.
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), str(ROOT / "bench")])}
+    proc = subprocess.run([sys.executable, "-c", TRACED_CELLS], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)
+    assert result["check"] == [2, []]
+    assert len(result["classes"]) == 2 and all(result["classes"])

@@ -213,14 +213,14 @@ class TestSuite:
         calls = []
         scan = verification.find_witnesses
 
-        def recording(cell, jobs=1):
-            calls.append((cell, jobs))
+        def recording(cell):
+            calls.append(cell)
             return scan(cell)
 
         monkeypatch.setattr(verification, "find_witnesses", recording)
         cells = {CellSpec(n, length) for n in (3, 4) for length in (2 * n, 2 * n + 1)}
         assert len(cells) == 4
-        for jobs in (1, 2):  # the second run scans again, with its own jobs
+        for _ in range(2):  # the second run scans again
             calls.clear()
-            run_suite(n_min=3, n_max=4, corpus_len=4, bound_len=4, jobs=jobs)
-            assert sorted(calls, key=str) == sorted(((c, jobs) for c in cells), key=str)
+            run_suite(n_min=3, n_max=4, corpus_len=4, bound_len=4)
+            assert sorted(calls, key=str) == sorted(cells, key=str)
