@@ -196,6 +196,12 @@ class TestJobs:
         err = capsys.readouterr().err
         assert message in err and "_positive_int" not in err
 
+    def test_clamped_to_cpu_count(self, capsys, no_pool):
+        # --jobs has no effect: a huge value still searches in this process.
+        code, records = run_records(
+            capsys, "--jobs", "100000", "enumerate", "--n", "3", "--length", "7")
+        assert code == 0 and records[0]["payload"]["witness_count"] == 12
+
 
 class TestSharedParser:
     def test_built_once(self):

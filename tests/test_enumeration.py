@@ -1,4 +1,3 @@
-import concurrent.futures
 import json
 from collections import Counter
 from itertools import product
@@ -153,12 +152,13 @@ class TestWitnessSearch:
         with pytest.raises(ValueError):
             find_witnesses(CellSpec(3, 6), jobs=jobs)
 
-    def test_jobs_starts_no_pool(self, monkeypatch):
-        # Every search runs in one process, whatever jobs says.
-        def no_pool(*args, **kwargs):
-            raise AssertionError("a process pool was started")
+    def test_jobs_clamped_to_cpu_count(self, no_pool):
+        # jobs has no effect: a huge value still searches in this process.
+        report = find_witnesses(CellSpec(3, 7), jobs=10**6)
+        assert len(report.witnesses) == comb(4, 2) + 2 * comb(3, 2)
 
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    def test_parallel_equals_sequential(self, no_pool):
+        # Every search runs in one process, whatever jobs says.
         for cell in (CellSpec(3, 10), CellSpec(4, 9), CellSpec(5, 11)):
             one = find_witnesses(cell, jobs=1)
             two = find_witnesses(cell, jobs=2)
