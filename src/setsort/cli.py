@@ -7,7 +7,7 @@ selected by --format: human text (default), line-delimited JSON records,
 or CSV (enumerate only).  Human text and records come from one payload
 per result, printed through ``_show``.  Exit codes: 0 success, 1 verification
 failure / never-sorts under --strict, 2 usage error (an N-range below a
-check's least N included), 3 indeterminate depth.
+check's least N included), 3 indeterminate depth or probe-sigma.
 """
 
 from __future__ import annotations
@@ -58,7 +58,7 @@ def _show(args, payload: dict, lines: Iterable[object]) -> None:
 
 @contextmanager
 def usage_errors(parser: argparse.ArgumentParser) -> Iterator[None]:
-    """Exit 2 with ``error: ...`` on a ValueError, 3 on a capped depth."""
+    """Exit 2 with ``error: ...`` on a ValueError, 3 on DepthIndeterminateError."""
     try:
         yield
     except DepthIndeterminateError as exc:

@@ -17,7 +17,6 @@ process.
 
 from __future__ import annotations
 
-import time
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
@@ -69,20 +68,6 @@ def canonical_partitions(cell: CellSpec) -> Iterator[Word]:
                 yield from rec(i + 1, max(mx, v))
 
     yield from rec(0, 0)
-
-
-def cell_prefixes(cell: CellSpec, depth: int) -> list[Word]:
-    """Viable RGS prefixes of the given depth, in lexicographic order."""
-    n, length = cell.n_letters, cell.length
-    prefixes: list[Word] = [()]
-    for i in range(min(depth, length)):
-        prefixes = [
-            p + (v,)
-            for p in prefixes
-            for v in range(1, min(max(p, default=0) + 1, n) + 1)
-            if n - max(max(p, default=0), v) <= length - i - 1
-        ]
-    return prefixes
 
 
 def run_free_classes(cell: CellSpec) -> Iterator[Word]:
@@ -164,7 +149,6 @@ class WitnessProfile:
 class WitnessReport:
     total_classes: int
     witnesses: tuple[WitnessProfile, ...]
-    elapsed: float
 
 
 def is_witness(word: Sequence[int], n_letters: int) -> bool:
@@ -190,8 +174,6 @@ def classify_family(word: Sequence[int]) -> str | None:
     head = word[0]
     if star == head:
         return "head-triple"
-    if mult[head] != 2:
-        return None
     after = word[word.index(head, 1):].count(star)
     if after == 2:
         return "tail-heavy"
@@ -233,12 +215,10 @@ def find_witnesses(cell: CellSpec, jobs: int = 1) -> WitnessReport:
     """
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
-    start = time.perf_counter()
     _, found = _search_shard(cell)
     return WitnessReport(
         total_classes=stirling2(cell.length, cell.n_letters),
         witnesses=tuple(profile_witness(w, cell) for w in found),
-        elapsed=time.perf_counter() - start,
     )
 
 

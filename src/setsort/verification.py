@@ -23,7 +23,7 @@ from .enumeration import (
     run_free_upto,
     stirling2,
 )
-from .machine import Pattern, aba_depth, apply_phi_aba, sorting_depth
+from .machine import DepthIndeterminateError, Pattern, aba_depth, apply_phi_aba, sorting_depth
 from .words import (
     Word,
     clumped_count,
@@ -257,8 +257,9 @@ def check_family_counts(n: int, cells: Cells = find_witnesses) -> CheckResult:
 def probe_sigma(sigma: Pattern, max_len: int = 6, cap: int | None = None) -> CheckResult:
     """Look for a word whose orbit under a non-aba pattern cycles unsorted.
 
-    Finding one supports aba being the unique sorting pattern; finding none
-    within bounds is explicitly indeterminate, not a refutation.
+    Finding one supports aba being the unique sorting pattern.  Finding
+    none within bounds is indeterminate, not a pass: it raises
+    DepthIndeterminateError, as a depth capped at ``cap`` does.
     """
     name = f"probe-sigma-{sigma}"
     scope = f"canonical words, length <= {max_len}"
@@ -269,7 +270,7 @@ def probe_sigma(sigma: Pattern, max_len: int = 6, cap: int | None = None) -> Che
                 name, scope, True,
                 detail=f"{format_word(p)} cycles without sorting",
             )
-    return CheckResult(name, scope, True, detail="none found (indeterminate)")
+    raise DepthIndeterminateError(f"no cycling word of length <= {max_len} under sigma={sigma}")
 
 
 @dataclass(frozen=True)
@@ -361,5 +362,6 @@ def run_suite(
     corpus_len: int = 8,
     bound_len: int = 9,
 ) -> list[CheckResult]:
-    """Every check of CHECKS, probe-sigma probing ab."""
+    """Every check of CHECKS, probe-sigma probing ab; raises
+    DepthIndeterminateError if no word of length <= ``corpus_len`` cycles."""
     return list(SuiteRun(n_min, n_max, corpus_len, bound_len).run(CHECKS))

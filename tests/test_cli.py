@@ -310,6 +310,26 @@ class TestVerify:
         assert all(p["passed"] for p in payloads)
         assert err.startswith("indeterminate")
 
+    def test_probe_without_cycler_exits_indeterminate(self, capsys):
+        # aba sorts every word: no PASS, exit 3.
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "probe-sigma", "--sigma", "aba", "--corpus-len", "4"])
+        assert exc.value.code == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("indeterminate")
+
+    def test_all_short_corpus_exits_indeterminate(self, capsys):
+        # No word of length <= 2 cycles under ab: nine PASS lines, then exit 3.
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "all", "--n", "3", "--corpus-len", "2", "--bound-len", "2"])
+        assert exc.value.code == 3
+        out, err = capsys.readouterr()
+        lines = out.splitlines()
+        assert len(lines) == len(CHECKS) - 1 == 9
+        assert all(line.startswith("PASS ") for line in lines)
+        assert err.startswith("indeterminate")
+
     def test_all_honours_sigma(self, capsys):
         code, records = run_records(
             capsys, "--jobs", "1", "verify", "all", "--n", "3",

@@ -12,7 +12,7 @@ from setsort.enumeration import (
     CellSpec,
     all_canonical_upto,
     canonical_partitions,
-    cell_prefixes,
+    classify_family,
     find_witnesses,
     is_witness,
     run_expansions,
@@ -21,7 +21,7 @@ from setsort.enumeration import (
     stirling2,
     witness_table,
 )
-from setsort.words import canonicalize, format_word, n_distinct, truncate
+from setsort.words import canonicalize, format_word, n_distinct, parse, truncate
 
 
 def full_scan_witnesses(cell):
@@ -99,11 +99,10 @@ class TestStream:
         assert all(a < b for a, b in zip(stream, stream[1:]))
         assert all(canonicalize(w) == w and n_distinct(w) == n for w in stream)
 
-    def test_prefix_shards_cover_cell(self):
-        cell = CellSpec(3, 6)
-        full = list(canonical_partitions(cell))
-        sharded = [w for p in cell_prefixes(cell, depth=3) for w in full if w[:3] == p]
-        assert sharded == full
+    @pytest.mark.parametrize("n,length", [(0, 3), (3, 0)])
+    def test_nonpositive_cell_rejected(self, n, length):
+        with pytest.raises(ValueError, match="cell parameters must be positive"):
+            CellSpec(n, length)
 
 
 class TestWitnessSearch:
@@ -142,6 +141,14 @@ class TestWitnessSearch:
             assert prof["family"] in {"head-triple", "tail-heavy", "prefix-heavy"}
         head = [prof for prof in profiles if prof["family"] == "head-triple"]
         assert head and all(prof["first_letter_mult"] == 3 for prof in head)
+
+    @pytest.mark.parametrize("word", [
+        "aabbcc",  # no triple letter
+        "abbba",  # b sits wholly before the second a
+        "aabbbcc",  # b sits wholly after the second a
+    ])
+    def test_no_family_outside_the_three(self, word):
+        assert classify_family(parse(word)) is None
 
     def test_no_family_tag_at_minimal_length(self):
         report = find_witnesses(CellSpec(3, 6))

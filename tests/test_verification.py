@@ -5,12 +5,14 @@ import pytest
 from setsort import verification
 from setsort.enumeration import (
     CellSpec,
+    WitnessProfile,
+    WitnessReport,
     all_canonical_upto,
     canonical_partitions,
     find_witnesses,
     is_witness,
 )
-from setsort.machine import Pattern, apply_phi_aba
+from setsort.machine import DepthIndeterminateError, Pattern, apply_phi_aba
 from setsort.verification import (
     CHECKS,
     CheckResult,
@@ -120,8 +122,15 @@ def _depth_without_passes(w):
 
 
 def _shifted_cells(cell):
-    # Hands out the (N, 2N) cell for (N, 2N+1): abcabc has no triple letter.
+    # Hands out the (N, L-1) cell for (N, L): for (N, 2N+1) the lone witness
+    # abcabc, with no triple letter and no family tag; for (N, 2N) none.
     return find_witnesses(CellSpec(cell.n_letters, cell.length - 1))
+
+
+def _tagged_cells(*tagged):
+    # Hands out the same hand-built (word, family) witnesses for every cell.
+    report = WitnessReport(0, tuple(WitnessProfile(parse(w), family) for w, family in tagged))
+    return lambda cell: report
 
 
 class TestFailurePaths:
@@ -134,9 +143,22 @@ class TestFailurePaths:
         (lambda: check_cor_lockstep([parse("abcabc"), parse("abcdabcd")]),
          "apply_phi_aba", _identity, "abcabc"),
         (lambda: check_multiplicity_profile(3, _shifted_cells), None, None, "abcabc"),
+        (lambda: check_theorem_minimal(3, _shifted_cells), None, None, "abcabc"),
+        (lambda: check_theorem_count(3, _shifted_cells), None, None, ""),
+        (lambda: check_family_counts(3, _shifted_cells), None, None, "abcabc"),
+        # abbba keeps three b's before the head's second occurrence.
+        (lambda: check_family_counts(3, _tagged_cells(("abbba", "tail-heavy"))),
+         None, None, "abbba"),
+        (lambda: check_family_counts(3, _tagged_cells(("abcabcb", "prefix-heavy"))),
+         None, None, "abcabcb"),
+        # One well-formed tail-heavy witness, so only the tallies are off.
+        (lambda: check_family_counts(3, _tagged_cells(("abcabcb", "tail-heavy"))),
+         None, None, ""),
     ], ids=[
         "lemma-decomposition", "clump-growth", "trunc-commute", "upper-bound",
         "theorem-minimal", "lockstep", "multiplicity-profile",
+        "theorem-minimal-cell", "theorem-count", "family-counts-unclassifiable",
+        "family-counts-slice-mcount", "family-counts-slice-conditions", "family-counts-tallies",
     ])
     def test_first_counterexample(self, monkeypatch, run, name, broken, counterexample):
         if name is not None:
@@ -180,8 +202,10 @@ class TestProbe:
         assert result.passed and "cycles without sorting" in result.detail
 
     def test_aba_probe_is_indeterminate(self):
-        result = probe_sigma(Pattern(parse("aab")), max_len=3)
-        assert result.passed
+        # aba sorts every word, so no word cycles: no verdict, not a pass.
+        with pytest.raises(DepthIndeterminateError,
+                           match="no cycling word of length <= 4 under sigma=aba"):
+            probe_sigma(Pattern(parse("aba")), max_len=4)
 
 
 class TestSuite:
