@@ -62,7 +62,7 @@ def usage_errors(parser: argparse.ArgumentParser) -> Iterator[None]:
     try:
         yield
     except DepthIndeterminateError as exc:
-        parser.exit(EXIT_INDETERMINATE, f"indeterminate (cap): {exc}\n")
+        parser.exit(EXIT_INDETERMINATE, f"indeterminate: {exc}\n")
     except ValueError as exc:
         parser.exit(EXIT_USAGE, f"error: {exc}\n")
 
@@ -113,7 +113,7 @@ def cmd_depth(args) -> int:
     try:
         result = sorting_depth(p, sigma, cap=args.cap)
     except DepthIndeterminateError as exc:
-        _show(args, {**payload, "status": "indeterminate"}, [f"indeterminate (cap): {exc}"])
+        _show(args, {**payload, "status": "indeterminate"}, [f"indeterminate: {exc}"])
         return EXIT_INDETERMINATE
     payload["status"] = "sorted" if result.sorts else "never-sorts"
     payload["depth"] = result.depth
@@ -193,8 +193,9 @@ def cmd_verify(args) -> int:
     for result in suite.run(verification.CHECKS if args.suite == "all" else [args.suite]):
         passed = passed and result.passed
         c = result.counterexample
-        _show(args, {**vars(result), "counterexample": None if c is None else words.format_word(c)},
-             [result.summary()])
+        _show(args, {**vars(result), "passed": result.passed,
+                     "counterexample": None if c is None else words.format_word(c)},
+              [result.summary()])
         sys.stdout.flush()  # a long run shows each result when it is found
     return EXIT_OK if passed else EXIT_FAIL
 

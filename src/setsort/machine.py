@@ -117,7 +117,10 @@ def push_is_legal(stack: Sequence[int], x: int, sigma: Pattern) -> bool:
     return not embeds(1, 0)
 
 
-def _pass_generic(p: Sequence[int], sigma: Pattern, events: list | None) -> Word:
+def _pass_generic(p: Sequence[int], sigma: Pattern, events: list | None = None) -> Word:
+    """One pass via the subsequence-checking route, never the aba fast path,
+    so the fast path can be cross-checked against it; ``events``, if given,
+    receives every push and pop."""
     out: list[int] = []
     stack: list[int] = []
     for x in p:
@@ -141,15 +144,10 @@ def apply_phi(p: Sequence[int], sigma: Pattern) -> Word:
     """One pass of the machine for an arbitrary pattern."""
     if sigma.is_aba:
         return apply_phi_aba(p)
-    return _pass_generic(p, sigma, None)
+    return _pass_generic(p, sigma)
 
 
-def apply_phi_generic(p: Sequence[int], sigma: Pattern) -> Word:
-    """One pass via the subsequence-checking route, never the aba fast path.
-
-    Kept separate so the fast path can be cross-checked against it.
-    """
-    return _pass_generic(p, sigma, None)
+apply_phi_generic = _pass_generic
 
 
 def apply_phi_aba(p: Sequence[int]) -> Word:
@@ -212,13 +210,12 @@ def trace(p: Sequence[int], sigma: Pattern) -> Trace:
 
 @dataclass(frozen=True)
 class DepthResult:
-    sorts: bool
-    depth: int | None = None  # least t with the t-th iterate sorted
-    cycle_start: Word | None = None  # first repeated word, when sorts is False
+    depth: int | None = None  # least t with the t-th iterate sorted; None if never
+    cycle_start: Word | None = None  # first repeated word, when the word never sorts
 
-    def __post_init__(self):
-        if self.sorts != (self.depth is not None):
-            raise ValueError("a depth is given exactly when the word sorts")
+    @property
+    def sorts(self) -> bool:
+        return self.depth is not None
 
 
 def sorting_depth(
@@ -238,13 +235,13 @@ def sorting_depth(
     seen = {canonicalize(w)}
     for t in range(cap + 1):
         if is_sorted(w):
-            return DepthResult(sorts=True, depth=t)
+            return DepthResult(depth=t)
         if t == cap:
             break
         w = apply_phi(w, sigma)
         cw = canonicalize(w)
         if cw in seen:
-            return DepthResult(sorts=False, cycle_start=cw)
+            return DepthResult(cycle_start=cw)
         seen.add(cw)
     raise DepthIndeterminateError(
         f"{format_word(p)} under sigma={sigma}: no sort or cycle within {cap} passes"

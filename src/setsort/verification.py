@@ -44,15 +44,14 @@ Failure = tuple[str, str] | None
 class CheckResult:
     name: str
     scope: str
-    passed: bool
-    counterexample: Word | None = None
+    counterexample: Word | None = None  # None on a pass; () when a count, not a word, fails
     expected: str = ""
     actual: str = ""
     detail: str = ""
 
-    def __post_init__(self):
-        if self.passed != (self.counterexample is None):
-            raise ValueError("a counterexample is given exactly when the check fails")
+    @property
+    def passed(self) -> bool:
+        return self.counterexample is None
 
     def summary(self) -> str:
         line = f"{'PASS' if self.passed else 'FAIL'} {self.name} [{self.scope}]"
@@ -75,8 +74,8 @@ def first_failure(
     for count, p in enumerate(corpus, 1):
         found = fails(p)
         if found is not None:
-            return CheckResult(name, scope, False, p, *found)
-    return CheckResult(name, scope, True, detail=detail.format(count=count))
+            return CheckResult(name, scope, p, *found)
+    return CheckResult(name, scope, detail=detail.format(count=count))
 
 
 def check_lemma_decomposition(max_len: int = 8) -> CheckResult:
@@ -171,7 +170,7 @@ def check_theorem_minimal(n: int, cells: Cells = find_witnesses) -> CheckResult:
     if found != [expected_word]:
         bad = found[0] if found else expected_word
         return CheckResult(
-            "theorem-minimal", scope, False, bad,
+            "theorem-minimal", scope, bad,
             expected=format_word(expected_word),
             actual=" ".join(format_word(w) for w in found) or "none",
         )
@@ -189,11 +188,8 @@ def check_theorem_count(n: int, cells: Cells = find_witnesses) -> CheckResult:
     want = expected_next_minimal_count(n)
     got = len(report.witnesses)
     if got != want:
-        return CheckResult(
-            "theorem-count", scope, False, (),
-            expected=str(want), actual=str(got),
-        )
-    return CheckResult("theorem-count", scope, True, detail=f"{got} witnesses")
+        return CheckResult("theorem-count", scope, (), expected=str(want), actual=str(got))
+    return CheckResult("theorem-count", scope, detail=f"{got} witnesses")
 
 
 def check_multiplicity_profile(n: int, cells: Cells = find_witnesses) -> CheckResult:
@@ -210,48 +206,42 @@ def check_multiplicity_profile(n: int, cells: Cells = find_witnesses) -> CheckRe
 def check_family_counts(n: int, cells: Cells = find_witnesses) -> CheckResult:
     """Length-2N+1 witnesses split into tail-heavy / prefix-heavy / head-triple
     families of sizes C(N,2), C(N,2), C(N+1,2), and every double-head witness
-    keeps both slices around the head's second occurrence at mcount <= 2."""
+    keeps both slices around the head's second occurrence at mcount <= 2.
+    The witnesses are scanned for the first one that breaks a rule of its
+    family; the tallies are compared only after a clean scan."""
     scope = f"N={n}, L={2 * n + 1}"
-    report = cells(CellSpec(n, 2 * n + 1))
-    tallies = {"tail-heavy": 0, "prefix-heavy": 0, "head-triple": 0}
-    for prof in report.witnesses:
-        p = prof.witness
-        if prof.family is None:
-            return CheckResult(
-                "family-counts", scope, False, p,
-                expected="a family tag", actual="unclassifiable",
-            )
+    profiles = cells(CellSpec(n, 2 * n + 1)).witnesses
+    tags = (prof.family for prof in profiles)  # read in step with the scan
+
+    def fails(p: Word) -> Failure:
+        family = next(tags)
+        if family is None:
+            return "a family tag", "unclassifiable"
+        if p.count(p[0]) != 2:
+            return None
+        cut = p.index(p[0], 1)  # the head's second occurrence
+        left, right = mcount(p[:cut + 1]), mcount(p[cut:])
+        if left > 2 or right > 2:
+            return "slice mcount <= 2", f"({left}, {right})"
+        # the off-by-one slice variants used by the per-family counts
+        tail2 = mcount(p[cut + 1:]) == 2
+        pre2 = mcount(p[:cut]) == 2
+        tail_heavy = family == "tail-heavy"
+        if tail2 != tail_heavy or pre2 == tail_heavy:
+            return (f"slice conditions matching {family}",
+                    f"tail-mcount2={tail2} prefix-mcount2={pre2}")
+        return None
+
+    result = first_failure("family-counts", scope, (prof.witness for prof in profiles), fails)
+    if not result.passed:
+        return result
+    want = {"tail-heavy": comb(n, 2), "prefix-heavy": comb(n, 2), "head-triple": comb(n + 1, 2)}
+    tallies = dict.fromkeys(want, 0)
+    for prof in profiles:  # per profile, so a witness listed twice counts twice
         tallies[prof.family] += 1
-        if p.count(p[0]) == 2:
-            cut = p.index(p[0], 1)  # the head's second occurrence
-            left = mcount(p[:cut + 1])
-            right = mcount(p[cut:])
-            if left > 2 or right > 2:
-                return CheckResult(
-                    "family-counts", scope, False, p,
-                    expected="slice mcount <= 2", actual=f"({left}, {right})",
-                )
-            # the off-by-one slice variants used by the per-family counts
-            tail2 = mcount(p[cut + 1:]) == 2
-            pre2 = mcount(p[:cut]) == 2
-            want = prof.family == "tail-heavy"
-            if tail2 != want or pre2 == want:
-                return CheckResult(
-                    "family-counts", scope, False, p,
-                    expected=f"slice conditions matching {prof.family}",
-                    actual=f"tail-mcount2={tail2} prefix-mcount2={pre2}",
-                )
-    want_counts = {
-        "tail-heavy": comb(n, 2),
-        "prefix-heavy": comb(n, 2),
-        "head-triple": comb(n + 1, 2),
-    }
-    if tallies != want_counts:
-        return CheckResult(
-            "family-counts", scope, False, (),
-            expected=str(want_counts), actual=str(tallies),
-        )
-    return CheckResult("family-counts", scope, True, detail=str(tallies))
+    if tallies != want:
+        return CheckResult("family-counts", scope, (), expected=str(want), actual=str(tallies))
+    return CheckResult("family-counts", scope, detail=str(tallies))
 
 
 def probe_sigma(sigma: Pattern, max_len: int = 6, cap: int | None = None) -> CheckResult:
@@ -266,10 +256,7 @@ def probe_sigma(sigma: Pattern, max_len: int = 6, cap: int | None = None) -> Che
     for p in all_canonical_upto(max_len):
         result = sorting_depth(p, sigma, cap=cap)
         if not result.sorts:
-            return CheckResult(
-                name, scope, True,
-                detail=f"{format_word(p)} cycles without sorting",
-            )
+            return CheckResult(name, scope, detail=f"{format_word(p)} cycles without sorting")
     raise DepthIndeterminateError(f"no cycling word of length <= {max_len} under sigma={sigma}")
 
 

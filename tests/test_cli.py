@@ -4,7 +4,9 @@ from pathlib import Path
 
 import pytest
 
+from setsort import verification
 from setsort.cli import build_parser, main
+from setsort.enumeration import CellSpec
 from setsort.verification import CHECKS
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -112,7 +114,8 @@ class TestDepth:
 
     def test_indeterminate_exit(self, capsys):
         code, out = run(capsys, "depth", "abcabc", "--cap", "1")
-        assert code == 3 and out.startswith("indeterminate")
+        assert code == 3
+        assert out == "indeterminate: abcabc under sigma=aba: no sort or cycle within 1 passes\n"
 
 
 class TestStats:
@@ -310,6 +313,23 @@ class TestVerify:
         assert all(p["passed"] for p in payloads)
         assert err.startswith("indeterminate")
 
+    def test_failing_word_record_says_not_passed(self, capsys, monkeypatch):
+        monkeypatch.setattr(verification, "apply_phi_aba", tuple)  # a pass that moves nothing
+        code, records = run_records(capsys, "verify", "lemma-decomposition", "--corpus-len", "4")
+        assert code == 1
+        assert records[0]["payload"]["passed"] is False
+        assert records[0]["payload"]["counterexample"] == "ab"
+
+    def test_failing_count_record_says_not_passed(self, capsys, monkeypatch):
+        # (N, 2N+1) gets the (N, 2N) cell: one witness, not 12, and no word to show.
+        scan = verification.find_witnesses
+        monkeypatch.setattr(verification, "find_witnesses",
+                            lambda cell: scan(CellSpec(cell.n_letters, cell.length - 1)))
+        code, records = run_records(capsys, "verify", "theorem-count", "--n", "3")
+        assert code == 1
+        assert records[0]["payload"]["passed"] is False
+        assert records[0]["payload"]["counterexample"] == ""
+
     def test_probe_without_cycler_exits_indeterminate(self, capsys):
         # aba sorts every word: no PASS, exit 3.
         with pytest.raises(SystemExit) as exc:
@@ -317,7 +337,7 @@ class TestVerify:
         assert exc.value.code == 3
         out, err = capsys.readouterr()
         assert out == ""
-        assert err.startswith("indeterminate")
+        assert err == "indeterminate: no cycling word of length <= 4 under sigma=aba\n"
 
     def test_all_short_corpus_exits_indeterminate(self, capsys):
         # No word of length <= 2 cycles under ab: nine PASS lines, then exit 3.
@@ -328,7 +348,8 @@ class TestVerify:
         lines = out.splitlines()
         assert len(lines) == len(CHECKS) - 1 == 9
         assert all(line.startswith("PASS ") for line in lines)
-        assert err.startswith("indeterminate")
+        # probe-sigma --corpus-len 2 hits no cap, so the message names none.
+        assert err == "indeterminate: no cycling word of length <= 2 under sigma=ab\n"
 
     def test_all_honours_sigma(self, capsys):
         code, records = run_records(

@@ -195,10 +195,13 @@ class TestSinglePass:
 
     @pytest.mark.parametrize("sigma", canonical_patterns(2, 4), ids=str)
     def test_generic_equals_definition_exhaustively(self, sigma):
+        # Every route to the pass: the generic pass, its traced run, and
+        # apply_phi, which takes the generic pass for every sigma but aba.
         for w in small_corpus(7):
             want = oracle_pass(w, sigma)
             assert apply_phi_generic(w, sigma) == want, format_word(w)
             assert trace(w, sigma).output == want, format_word(w)
+            assert apply_phi(w, sigma) == want, format_word(w)
 
     def test_sparse_letter_ids(self):
         # Letter ids far above the word length take the same route as dense ones.
@@ -270,10 +273,9 @@ class TestSortingDepth:
         assert not result.sorts
         assert result.cycle_start == (1, 2, 1, 2)
 
-    @pytest.mark.parametrize("sorts,depth", [(True, None), (False, 2)])
-    def test_result_rejects_inconsistent_depth(self, sorts, depth):
-        with pytest.raises(ValueError):
-            DepthResult(sorts=sorts, depth=depth)
+    def test_sorts_follows_depth(self):
+        assert DepthResult(depth=0).sorts and DepthResult(depth=2).sorts
+        assert not DepthResult(cycle_start=(1, 2, 1, 2)).sorts
 
     def test_indeterminate_on_tiny_cap(self):
         with pytest.raises(DepthIndeterminateError):

@@ -33,16 +33,16 @@ from setsort.words import clumped_count, is_sorted, n_distinct, parse
 
 
 class TestCheckResultContract:
-    def test_failure_requires_counterexample(self):
-        with pytest.raises(ValueError):
-            CheckResult("x", "scope", False)
-
-    def test_pass_rejects_counterexample(self):
-        with pytest.raises(ValueError):
-            CheckResult("x", "scope", True, (1, 2, 1))
+    @pytest.mark.parametrize("counterexample,passed", [
+        (None, True),
+        ((), False),  # a count failure has no word to show
+        ((1, 2, 1), False),
+    ])
+    def test_passed_follows_counterexample(self, counterexample, passed):
+        assert CheckResult("x", "scope", counterexample).passed is passed
 
     def test_summary_mentions_counterexample(self):
-        r = CheckResult("x", "scope", False, (1, 2, 1), expected="a", actual="b")
+        r = CheckResult("x", "scope", (1, 2, 1), expected="a", actual="b")
         assert "FAIL" in r.summary() and "aba" in r.summary()
 
 
@@ -127,6 +127,13 @@ def _shifted_cells(cell):
     return find_witnesses(CellSpec(cell.n_letters, cell.length - 1))
 
 
+def _doubled_cells(cell):
+    # The cell's witnesses with the first listed twice: the distinct witnesses
+    # tally exactly, so only a count per listed profile fails.
+    witnesses = find_witnesses(cell).witnesses
+    return WitnessReport(0, witnesses + witnesses[:1])
+
+
 def _tagged_cells(*tagged):
     # Hands out the same hand-built (word, family) witnesses for every cell.
     report = WitnessReport(0, tuple(WitnessProfile(parse(w), family) for w, family in tagged))
@@ -154,11 +161,13 @@ class TestFailurePaths:
         # One well-formed tail-heavy witness, so only the tallies are off.
         (lambda: check_family_counts(3, _tagged_cells(("abcabcb", "tail-heavy"))),
          None, None, ""),
+        (lambda: check_family_counts(3, _doubled_cells), None, None, ""),
     ], ids=[
         "lemma-decomposition", "clump-growth", "trunc-commute", "upper-bound",
         "theorem-minimal", "lockstep", "multiplicity-profile",
         "theorem-minimal-cell", "theorem-count", "family-counts-unclassifiable",
         "family-counts-slice-mcount", "family-counts-slice-conditions", "family-counts-tallies",
+        "family-counts-repeated-witness",
     ])
     def test_first_counterexample(self, monkeypatch, run, name, broken, counterexample):
         if name is not None:
