@@ -273,6 +273,14 @@ class TestSortingDepth:
         assert not result.sorts
         assert result.cycle_start == (1, 2, 1, 2)
 
+    @pytest.mark.parametrize("sorts,depth", [(True, None), (False, 2)])
+    def test_result_rejects_inconsistent_depth(self, sorts, depth):
+        # sorts is derived from depth: it cannot be passed in, and a result
+        # with this depth reports the consistent verdict instead.
+        with pytest.raises(TypeError):
+            DepthResult(sorts=sorts, depth=depth)
+        assert DepthResult(depth=depth).sorts is not sorts
+
     def test_sorts_follows_depth(self):
         assert DepthResult(depth=0).sorts and DepthResult(depth=2).sorts
         assert not DepthResult(cycle_start=(1, 2, 1, 2)).sorts
