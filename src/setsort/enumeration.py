@@ -20,7 +20,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Iterator, Sequence
 
 from .machine import aba_depth
@@ -49,76 +49,70 @@ def stirling2(length: int, n_letters: int) -> int:
     return n_letters * stirling2(length - 1, n_letters) + stirling2(length - 1, n_letters - 1)
 
 
-def canonical_partitions(cell: CellSpec) -> Iterator[Word]:
-    """All RGS words of the cell, in lexicographic order.
+def rgs_words(
+    length: int, n_letters: int | None = None, run_free: bool = False, repeat: int = 1
+) -> Iterator[Word]:
+    """The RGS words of exactly ``length`` with exactly ``n_letters`` letters
+    (any number if None), no two equal neighbours if ``run_free``, and every
+    letter at least ``repeat`` times, in lexicographic order.
 
-    Prunes any prefix whose remaining slots cannot introduce enough new
-    letters, so the stream touches only S(L, N) words, not N**L.
+    This one DFS feeds every word stream.  ``need`` counts the slots a prefix
+    still owes: ``repeat`` for each letter still missing, plus the
+    occurrences its letters lack.  A prefix is pruned once ``need`` exceeds
+    its remaining slots, so at the last slot only qualifying words are left.
     """
-    n, length = cell.n_letters, cell.length
+    must = n_letters or 0
+    cap = length if n_letters is None else n_letters
     word = [0] * length
+    counts = [0] * (cap + 1)
 
-    def rec(i: int, mx: int) -> Iterator[Word]:
-        if i == length:
-            yield tuple(word)
-            return
-        for v in range(1, min(mx + 1, n) + 1):
-            if n - max(mx, v) <= length - i - 1:
-                word[i] = v
-                yield from rec(i + 1, max(mx, v))
+    def rec(i: int, mx: int, need: int) -> Iterator[Word]:
+        rest = length - i - 1
+        last = word[i - 1] if run_free and i else 0
+        for v in range(1, min(mx + 1, cap) + 1):
+            if v == last:
+                continue
+            c = counts[v]
+            if c:
+                left = need - (c < repeat)
+            else:  # a new letter: one still missing, or an extra one owing repeat - 1
+                left = need - 1 if v <= must else need + repeat - 1
+            if left > rest:
+                continue
+            word[i] = v
+            if rest:
+                counts[v] = c + 1
+                yield from rec(i + 1, mx + (c == 0), left)
+                counts[v] = c
+            else:
+                yield tuple(word)
 
-    yield from rec(0, 0)
+    return rec(0, 0, repeat * must)
+
+
+def canonical_partitions(cell: CellSpec) -> Iterator[Word]:
+    """All S(L, N) RGS words of the cell, in lexicographic order."""
+    return rgs_words(cell.length, cell.n_letters)
 
 
 def run_free_classes(cell: CellSpec) -> Iterator[Word]:
     """Run-free RGS words over exactly N letters, each letter at least twice,
-    of length at most L, in lexicographic order.
+    of length 2N..L: shortest first, then in lexicographic order.
 
-    These are the truncations of the cell's possible witnesses.  A prefix
-    is pruned once its remaining slots cannot give every letter, new or
-    seen once, its second occurrence.
+    These are the truncations of the cell's possible witnesses.
     """
-    n, length = cell.n_letters, cell.length
-    word: list[int] = []
-    counts = [0] * (n + 1)
-
-    def rec(mx: int, once: int) -> Iterator[Word]:
-        i = len(word)
-        if mx == n and once == 0:
-            yield tuple(word)
-        last = word[-1] if word else 0
-        for v in range(1, min(mx + 1, n) + 1):
-            if v == last:
-                continue
-            c = counts[v]
-            grown = once + (c == 0) - (c == 1)
-            if 2 * (n - max(mx, v)) + grown <= length - i - 1:
-                counts[v] = c + 1
-                word.append(v)
-                yield from rec(max(mx, v), grown)
-                word.pop()
-                counts[v] = c
-
-    yield from rec(0, 0)
+    n = cell.n_letters
+    return chain.from_iterable(
+        rgs_words(length, n, run_free=True, repeat=2) for length in range(2 * n, cell.length + 1)
+    )
 
 
 def _rgs_upto(max_len: int, run_free: bool) -> Iterator[Word]:
     if max_len < 1:
         raise ValueError(f"empty corpus: lengths 1..{max_len}")
-    word: list[int] = []
-
-    def rec(length: int, mx: int) -> Iterator[Word]:
-        if len(word) == length:
-            yield tuple(word)
-            return
-        last = word[-1] if run_free and word else 0
-        for v in range(1, mx + 2):
-            if v != last:
-                word.append(v)
-                yield from rec(length, max(mx, v))
-                word.pop()
-
-    return (w for length in range(1, max_len + 1) for w in rec(length, 0))
+    return chain.from_iterable(
+        rgs_words(length, run_free=run_free) for length in range(1, max_len + 1)
+    )
 
 
 def all_canonical_upto(max_len: int) -> Iterator[Word]:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import groupby
+from itertools import chain, groupby
 from math import comb
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -20,6 +20,7 @@ from .enumeration import (
     WitnessReport,
     all_canonical_upto,
     find_witnesses,
+    rgs_words,
     run_free_upto,
     stirling2,
 )
@@ -158,7 +159,9 @@ def check_theorem_minimal(n: int, cells: Cells = find_witnesses) -> CheckResult:
     """The only witness of length <= 2N is (1 2 ... N)^2; shorter cells are
     empty, as their run-free truncations show by trunc-commute."""
     scope = f"N={n}, L in [{n}, {2 * n}]"
-    shorter = (p for p in run_free_upto(2 * n - 1) if n_distinct(p) == n)
+    shorter = chain.from_iterable(
+        rgs_words(length, n, run_free=True) for length in range(n, 2 * n)
+    )
     result = first_failure(
         "theorem-minimal", scope, shorter,
         lambda p: ("no witness", f"witness at L={len(p)}") if aba_depth(p) >= n else None,
@@ -168,7 +171,7 @@ def check_theorem_minimal(n: int, cells: Cells = find_witnesses) -> CheckResult:
     expected_word = tuple(range(1, n + 1)) * 2
     found = [w.witness for w in cells(CellSpec(n, 2 * n)).witnesses]
     if found != [expected_word]:
-        bad = found[0] if found else expected_word
+        bad = next((w for w in found if w != expected_word), expected_word)
         return CheckResult(
             "theorem-minimal", scope, bad,
             expected=format_word(expected_word),

@@ -15,6 +15,7 @@ from setsort.enumeration import (
     classify_family,
     find_witnesses,
     is_witness,
+    rgs_words,
     run_expansions,
     run_free_classes,
     run_free_upto,
@@ -87,9 +88,26 @@ class TestStream:
         assert got == ["aab", "aba", "abb"]
         assert list(canonical_partitions(CellSpec(3, 3))) == [(1, 2, 3)]
 
-    @pytest.mark.parametrize("n,length", [(n, l) for l in range(1, 7) for n in range(1, l + 1)])
-    def test_matches_brute_force(self, n, length):
-        assert list(canonical_partitions(CellSpec(n, length))) == brute_cell(n, length)
+    @pytest.mark.parametrize("n,length,run_free,repeat", [
+        pytest.param(n, l, run_free, repeat, id="-".join(
+            [str(n), str(l)] + ["run-free"] * run_free + [f"repeat{repeat}"] * (repeat > 1)))
+        for l in range(1, 7)
+        for n in [*range(1, l + 1), None]
+        for run_free in (False, True)
+        for repeat in (1, 2)
+    ])
+    def test_matches_brute_force(self, n, length, run_free, repeat):
+        # Any letter count is the union of the cells, in lexicographic order.
+        cells = sorted(
+            w for k in (range(1, length + 1) if n is None else [n]) for w in brute_cell(k, length)
+        )
+        want = [
+            w for w in cells
+            if (not run_free or truncate(w) == w) and min(Counter(w).values()) >= repeat
+        ]
+        assert list(rgs_words(length, n, run_free, repeat)) == want
+        if n is not None and not run_free and repeat == 1:
+            assert list(canonical_partitions(CellSpec(n, length))) == want
 
     @given(st.integers(1, 8).flatmap(lambda l: st.tuples(st.integers(1, l), st.just(l))))
     def test_cardinality_and_order(self, cell):
@@ -192,10 +210,13 @@ class TestQuotient:
     def test_run_free_classes_match_filtered_cells(self, n, length):
         # Run-free words with every letter at least twice, from the full cells.
         want = sorted(
-            w
-            for l in range(2 * n, length + 1)
-            for w in canonical_partitions(CellSpec(n, l))
-            if truncate(w) == w and min(Counter(w).values()) >= 2
+            (
+                w
+                for l in range(2 * n, length + 1)
+                for w in canonical_partitions(CellSpec(n, l))
+                if truncate(w) == w and min(Counter(w).values()) >= 2
+            ),
+            key=lambda w: (len(w), w),
         )
         assert list(run_free_classes(CellSpec(n, length))) == want
 

@@ -51,10 +51,15 @@ def test_script_output(monkeypatch, capsys, name, argv, want):
     assert capsys.readouterr().out.splitlines() == want
 
 
-def test_depth_histogram_golden(monkeypatch, capsys):
-    monkeypatch.setattr(sys, "argv", ["depth_histogram.py", "--max-len", "10"])
-    runpy.run_path(str(SCRIPTS / "depth_histogram.py"), run_name="__main__")
-    assert capsys.readouterr().out == (GOLDEN / "depth_histogram_10.txt").read_text()
+@pytest.mark.parametrize("name,argv,golden", [
+    ("depth_histogram.py", ["--max-len", "10"], "depth_histogram_10.txt"),
+    # Every cell's class and witness count up to (5, 11).
+    ("witness_sweep.py", ["--n-min", "3", "--n-max", "5"], "witness_sweep_3_5.csv"),
+], ids=["depth_histogram_10", "witness_sweep_3_5"])
+def test_depth_histogram_golden(monkeypatch, capsys, name, argv, golden):
+    monkeypatch.setattr(sys, "argv", [name, *argv])
+    runpy.run_path(str(SCRIPTS / name), run_name="__main__")
+    assert capsys.readouterr().out.encode() == (GOLDEN / golden).read_bytes()
 
 
 @pytest.mark.parametrize("name,argv,message", [

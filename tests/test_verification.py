@@ -151,6 +151,9 @@ class TestFailurePaths:
          "apply_phi_aba", _identity, "abcabc"),
         (lambda: check_multiplicity_profile(3, _shifted_cells), None, None, "abcabc"),
         (lambda: check_theorem_minimal(3, _shifted_cells), None, None, "abcabc"),
+        # (1..N)^2 is listed, so the extra witness is the counterexample.
+        (lambda: check_theorem_minimal(3, _tagged_cells(("abcabc", None), ("abcacb", None))),
+         None, None, "abcacb"),
         (lambda: check_theorem_count(3, _shifted_cells), None, None, ""),
         (lambda: check_family_counts(3, _shifted_cells), None, None, "abcabc"),
         # abbba keeps three b's before the head's second occurrence.
@@ -164,8 +167,8 @@ class TestFailurePaths:
         (lambda: check_family_counts(3, _doubled_cells), None, None, ""),
     ], ids=[
         "lemma-decomposition", "clump-growth", "trunc-commute", "upper-bound",
-        "theorem-minimal", "lockstep", "multiplicity-profile",
-        "theorem-minimal-cell", "theorem-count", "family-counts-unclassifiable",
+        "theorem-minimal", "lockstep", "multiplicity-profile", "theorem-minimal-cell",
+        "theorem-minimal-extra-witness", "theorem-count", "family-counts-unclassifiable",
         "family-counts-slice-mcount", "family-counts-slice-conditions", "family-counts-tallies",
         "family-counts-repeated-witness",
     ])
