@@ -8,7 +8,7 @@ of length 2N..L whose letters all repeat go through the aba machine, and
 the witnesses among them are expanded back to length L.  The
 total_classes column is still S(L, N).  This makes --n-max 6 feasible: the
 largest cell, N=6 with L=13, holds S(13,6) = 9,321,312 classes but takes
-0.88-0.91 s (2 vCPU, CPython 3.11.7).  The search runs in one process;
+0.82-0.89 s (2 vCPU, CPython 3.11.7).  The search runs in one process;
 --jobs is accepted for compatibility and must be at least 1.
 
 Usage: python scripts/witness_sweep.py [--n-min 3] [--n-max 5] [--offset 1]

@@ -17,11 +17,13 @@ process.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, combinations
-from typing import Iterator, Sequence
+from operator import itemgetter
+from typing import Callable, Iterator, Sequence
 
 from .machine import aba_depth
 from .words import Word
@@ -126,11 +128,25 @@ def run_free_upto(max_len: int) -> Iterator[Word]:
     return _rgs_upto(max_len, run_free=True)
 
 
+def _expanders(runs: int, length: int) -> list[Callable[[Word], Word]]:
+    """One getter per run expansion of a ``runs``-letter run-free word to
+    ``length``, in ``combinations`` order of the run starts.
+
+    Position p of an expansion copies run bisect_right(starts, p) of the
+    word.  A single-index itemgetter would return a scalar, so a length-1
+    expansion is the slice word[:1] instead.
+    """
+    return [
+        itemgetter(*(bisect_right(starts, p) for p in range(length)))
+        if length > 1 else itemgetter(slice(0, length))
+        for starts in combinations(range(1, length), runs - 1)
+    ]
+
+
 def run_expansions(word: Sequence[int], length: int) -> Iterator[Word]:
     """The C(length-1, len(word)-1) words of ``length`` that truncate to a run-free word."""
-    for cuts in combinations(range(1, length), len(word) - 1):
-        bounds = (0,) + cuts + (length,)
-        yield tuple(x for x, a, b in zip(word, bounds, bounds[1:]) for _ in range(b - a))
+    word = tuple(word)
+    return (expand(word) for expand in _expanders(len(word), length))
 
 
 @dataclass(frozen=True, slots=True)
@@ -186,16 +202,21 @@ def _search_shard(cell: CellSpec) -> tuple[int, list[Word]]:
     """(run-free classes tested, the cell's witnesses in lexicographic order).
 
     Each run-free witness is expanded into its run expansions of the
-    cell's length.  ``bench/tracing.py`` wraps this function by name and
-    reads the class count, so both stay.
+    cell's length, through one table of getters per word length, built
+    when that length first yields a witness.  ``bench/tracing.py`` wraps
+    this function by name and reads the class count, so both stay.
     """
     total = 0
     found = []
+    expanders = {}
     n = cell.n_letters
     for word in run_free_classes(cell):
         total += 1
         if is_witness(word, n):
-            found.extend(run_expansions(word, cell.length))
+            runs = len(word)
+            if runs not in expanders:
+                expanders[runs] = _expanders(runs, cell.length)
+            found += [expand(word) for expand in expanders[runs]]
     return total, sorted(found)
 
 

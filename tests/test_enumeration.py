@@ -1,6 +1,6 @@
 import json
 from collections import Counter
-from itertools import product
+from itertools import combinations, product
 from math import comb
 
 import pytest
@@ -32,7 +32,14 @@ def full_scan_witnesses(cell):
 
 ORACLE_CELLS = [
     (n, length) for n in range(1, 5) for length in range(n, 2 * n + 3)
-] + [(5, length) for length in range(5, 11)]
+] + [(5, length) for length in range(5, 11)] + [(3, 11), (3, 12)]  # witness-dense rows
+
+
+def combination_expansions(word, length):
+    """The oracle: each choice of run starts, one generator per word."""
+    for cuts in combinations(range(1, length), len(word) - 1):
+        bounds = (0,) + cuts + (length,)
+        yield tuple(x for x, a, b in zip(word, bounds, bounds[1:]) for _ in range(b - a))
 
 
 def brute_cell(n, length):
@@ -236,6 +243,20 @@ class TestQuotient:
         assert stream == sorted(stream, key=lambda w: (len(w), w))
         per_length = Counter(len(w) for w in stream)
         assert [per_length[l] for l in range(1, max_len + 1)] == bell_numbers(max_len)
+
+    @pytest.mark.parametrize("length", range(1, 11))
+    def test_run_expansions_match_combinations(self, length):
+        # Every run-free word over <= 4 letters of length <= 6, canonical or not.
+        words = [
+            w for l in range(1, 7) for w in product(range(1, 5), repeat=l) if truncate(w) == w
+        ]
+        for word in words:
+            assert list(run_expansions(word, length)) == list(combination_expansions(word, length))
+        assert list(run_expansions((3,), length)) == [(3,) * length]
+        assert list(run_expansions([2, 1], length)) == [
+            (2,) * k + (1,) * (length - k) for k in range(1, length)
+        ]
+        assert all(list(run_expansions(w, length)) == [] for w in words if len(w) > length)
 
     @given(st.lists(st.integers(1, 4), min_size=1, max_size=5), st.integers(1, 9))
     def test_run_expansions(self, letters, length):

@@ -55,7 +55,10 @@ def test_script_output(monkeypatch, capsys, name, argv, want):
     ("depth_histogram.py", ["--max-len", "10"], "depth_histogram_10.txt"),
     # Every cell's class and witness count up to (5, 11).
     ("witness_sweep.py", ["--n-min", "3", "--n-max", "5"], "witness_sweep_3_5.csv"),
-], ids=["depth_histogram_10", "witness_sweep_3_5"])
+    # The witness-dense N = 3 row through L = 12.
+    ("witness_sweep.py", ["--n-min", "3", "--n-max", "3", "--offset", "6"],
+     "witness_sweep_3_offset6.csv"),
+], ids=["depth_histogram_10", "witness_sweep_3_5", "witness_sweep_3_offset6"])
 def test_depth_histogram_golden(monkeypatch, capsys, name, argv, golden):
     monkeypatch.setattr(sys, "argv", [name, *argv])
     runpy.run_path(str(SCRIPTS / name), run_name="__main__")
